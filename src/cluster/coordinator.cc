@@ -1,21 +1,14 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
+#include <string_view>
 
 #include "cluster/protocol.h"
-#include "obs/stage_timer.h"
-#include "snapshot/reader.h"
-#include "synth/model.h"
-#include "synth/synth_source.h"
+#include "util/cli.h"
 #include "util/net_io.h"
 #include "util/strings.h"
 
@@ -23,13 +16,11 @@ namespace entrace::cluster {
 
 namespace {
 
-using orchestrate::JobState;
+using orchestrate::Attempt;
+using orchestrate::Delivery;
+using orchestrate::InjectedFault;
 using orchestrate::WorkerFault;
 
-// Idle tick of a dispatch thread with no eligible job: short enough that
-// backoff expiries are picked up promptly, long enough to stay cheap on a
-// small box.
-constexpr auto kIdleTick = std::chrono::milliseconds(5);
 // recv chunk granularity; also the poll cap so stop conditions and
 // deadlines are rechecked at least this often.
 constexpr int kPollCapMs = 100;
@@ -37,147 +28,64 @@ constexpr int kPollCapMs = 100;
 struct Endpoint {
   std::string host;
   std::uint16_t port = 0;
-  std::string label;  // "host:port" for logs
 };
 
-struct Job {
-  std::size_t index = 0;
-  std::size_t lo = 0, hi = 0;
-  JobState state = JobState::kPending;
-  int launches = 0;
-  double eligible_at = 0.0;
-  std::vector<WorkerFault> faults;
-};
-
-// Per-attempt transfer tallies, accumulated lock-free during the attempt
-// and folded into the shared obs counters at settle time (obs::Counter is
-// not atomic, so all metric writes happen under the coordinator mutex).
-struct AttemptStats {
-  std::uint64_t bytes_rx = 0;
-  std::uint64_t frames = 0;
-  std::uint64_t heartbeats = 0;
-  std::uint64_t chunks = 0;
-  bool connected = false;
-};
-
-// Handles into the cluster telemetry (all timing class: they describe the
-// run, never the dataset, so clustered reports stay byte-stable).
-struct Metrics {
-  obs::Counter* attempts = nullptr;
-  obs::Counter* reconnects = nullptr;
-  obs::Counter* connects = nullptr;
-  obs::Counter* bytes_rx = nullptr;
-  obs::Counter* frames_rx = nullptr;
-  obs::Counter* heartbeats_rx = nullptr;
-  obs::Counter* chunks_rx = nullptr;
-  obs::Counter* jobs_done = nullptr;
-  obs::Counter* jobs_failed = nullptr;
-  obs::Gauge* backoff_seconds = nullptr;
-  std::array<obs::Counter*, orchestrate::kWorkerFaultCount> faults{};
-
-  explicit Metrics(obs::Registry* reg) {
-    if (reg == nullptr) return;
-    using obs::MetricClass;
-    attempts = reg->counter("cluster.attempts", MetricClass::kTiming,
-                            "job dispatches across all endpoints");
-    reconnects = reg->counter("cluster.reconnects", MetricClass::kTiming,
-                              "redispatches after a classified fault");
-    connects = reg->counter("cluster.connects", MetricClass::kTiming,
-                            "TCP connections established to workers");
-    bytes_rx = reg->counter("cluster.bytes.rx", MetricClass::kTiming,
-                            "bytes received from workers");
-    frames_rx = reg->counter("cluster.frames.rx", MetricClass::kTiming,
-                             "protocol frames received from workers");
-    heartbeats_rx = reg->counter("cluster.heartbeats.rx", MetricClass::kTiming,
-                                 "heartbeat frames received from workers");
-    chunks_rx = reg->counter("cluster.chunks.rx", MetricClass::kTiming,
-                             "snapshot chunks received from workers");
-    jobs_done = reg->counter("cluster.jobs.done", MetricClass::kTiming,
-                             "jobs that delivered a validated snapshot");
-    jobs_failed = reg->counter("cluster.jobs.failed", MetricClass::kTiming,
-                               "jobs that exhausted their attempt budget");
-    backoff_seconds = reg->gauge("cluster.backoff.seconds", MetricClass::kTiming,
-                                 "total backoff delay scheduled before redispatches");
-    for (std::size_t f = 1; f < orchestrate::kWorkerFaultCount; ++f) {
-      std::string name =
-          std::string("cluster.fault.") + to_string(static_cast<WorkerFault>(f));
-      std::replace(name.begin(), name.end(), '-', '_');
-      faults[f] = reg->counter(name, MetricClass::kTiming,
-                               "attempts that ended in this worker fault");
-    }
+// "host:port" -> Endpoint; false with *error set when there is no port or
+// it does not parse.
+bool parse_endpoint(std::string_view text, Endpoint& out, std::string* error) {
+  const std::size_t colon = text.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 >= text.size()) {
+    if (error != nullptr) *error = "endpoint '" + std::string(text) + "' is not host:port";
+    return false;
   }
+  std::uint64_t port = 0;
+  if (!cli::parse_uint(std::string(text.substr(colon + 1)), port) || port < 1 || port > 65535) {
+    if (error != nullptr) *error = "endpoint '" + std::string(text) + "' has a bad port";
+    return false;
+  }
+  out.host = std::string(text.substr(0, colon));
+  out.port = static_cast<std::uint16_t>(port);
+  return true;
+}
+
+// The transport's own cluster.* counters, tallied per attempt.
+enum Tally { kConnects, kBytesRx, kFramesRx, kHeartbeatsRx, kChunksRx, kTallyCount };
+
+constexpr std::pair<const char*, const char*> kTallyMetrics[kTallyCount] = {
+    {"cluster.connects", "TCP connections established to workers"},
+    {"cluster.bytes.rx", "bytes received from workers"},
+    {"cluster.frames.rx", "protocol frames received from workers"},
+    {"cluster.heartbeats.rx", "heartbeat frames received from workers"},
+    {"cluster.chunks.rx", "snapshot chunks received from workers"},
 };
 
-class Coordinator {
+using Tallies = std::array<std::uint64_t, kTallyCount>;
+
+class TcpTransport final : public orchestrate::Transport {
  public:
-  Coordinator(const ClusterConfig& config, util::Clock& clock)
-      : config_(config), clock_(clock), metrics_(config.metrics) {}
-
-  orchestrate::OrchestrateResult run() {
-    const double start = clock_.now();
-    prepare();
-
-    std::vector<std::thread> dispatchers;
-    dispatchers.reserve(endpoints_.size());
-    for (const Endpoint& endpoint : endpoints_) {
-      dispatchers.emplace_back([this, &endpoint] { dispatch_loop(endpoint); });
+  explicit TcpTransport(const ClusterConfig& config) : config_(config) {
+    if (config.metrics != nullptr) {
+      for (std::size_t t = 0; t < kTallyCount; ++t) {
+        counters_[t] = config.metrics->counter(kTallyMetrics[t].first, obs::MetricClass::kTiming,
+                                               kTallyMetrics[t].second);
+      }
     }
-    for (std::thread& t : dispatchers) t.join();
-
-    orchestrate::OrchestrateResult result = finish();
-    if (config_.metrics != nullptr) {
-      obs::record_stage(config_.metrics, "cluster", clock_.now() - start, jobs_.size());
-    }
-    return result;
-  }
-
- private:
-  void log(const char* fmt, ...) const __attribute__((format(printf, 2, 3))) {
-    if (!config_.verbose) return;
-    va_list args;
-    va_start(args, fmt);
-    std::fprintf(stderr, "[cluster] ");
-    std::vfprintf(stderr, fmt, args);
-    std::fprintf(stderr, "\n");
-    va_end(args);
-  }
-
-  void prepare() {
-    if (config_.endpoints.empty()) {
+    if (config.endpoints.empty()) {
       throw std::runtime_error("cluster: no worker endpoints configured");
     }
-    for (const std::string& spec : config_.endpoints) {
-      const std::size_t colon = spec.rfind(':');
-      if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-        throw std::runtime_error("cluster: endpoint '" + spec + "' is not host:port");
-      }
-      char* end = nullptr;
-      const long port = std::strtol(spec.c_str() + colon + 1, &end, 10);
-      if (*end != '\0' || port < 1 || port > 65535) {
-        throw std::runtime_error("cluster: endpoint '" + spec + "' has a bad port");
-      }
-      endpoints_.push_back(
-          Endpoint{spec.substr(0, colon), static_cast<std::uint16_t>(port), spec});
+    for (const std::string& spec : config.endpoints) {
+      Endpoint endpoint;
+      std::string error;
+      if (!parse_endpoint(spec, endpoint, &error)) throw std::runtime_error("cluster: " + error);
+      endpoints_.push_back(std::move(endpoint));
     }
+  }
 
-    spec_ = dataset_by_name(config_.dataset, config_.scale);
-    const EnterpriseModel model;
-    trace_count_ = SyntheticTraceSourceSet(spec_, model).size();
-    if (trace_count_ == 0) {
-      throw std::runtime_error("cluster: dataset " + config_.dataset + " has no traces");
-    }
-    meta_ = snapshot::SnapshotMeta{spec_.name, config_.scale,
-                                   static_cast<std::uint32_t>(trace_count_)};
+  orchestrate::TransportKind kind() const override { return orchestrate::TransportKind::kTcp; }
+  std::size_t slots() const override { return endpoints_.size(); }
 
-    std::size_t m = config_.jobs == 0 ? endpoints_.size() : config_.jobs;
-    m = std::min(std::max<std::size_t>(1, m), trace_count_);
-    jobs_.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      jobs_[i].index = i;
-      jobs_[i].lo = trace_count_ * i / m;
-      jobs_[i].hi = trace_count_ * (i + 1) / m;
-    }
-
+  void prepare(const snapshot::SnapshotMeta& meta, std::size_t /*jobs*/) override {
+    meta_ = meta;
     // A port that is bound once and immediately released: connecting to it
     // later gets a real ECONNREFUSED, which is how refuse-injection
     // exercises the genuine dead-endpoint code path.
@@ -186,82 +94,60 @@ class Coordinator {
       util::ScopedFd probe = util::tcp_listen(0, &dead_port_, &error);
       if (!probe.valid()) throw std::runtime_error("cluster: " + error);
     }
-    log("%zu traces of %s in %zu jobs over %zu endpoints (budget %d attempts/job)", trace_count_,
-        spec_.name.c_str(), m, endpoints_.size(), config_.retry.max_attempts);
   }
 
-  bool terminal_locked() const {
-    return std::all_of(jobs_.begin(), jobs_.end(), [](const Job& job) {
-      return job.state == JobState::kDone || job.state == JobState::kFailed;
-    });
-  }
-
-  Job* pick_eligible_locked() {
-    for (Job& job : jobs_) {
-      if (job.state == JobState::kPending ||
-          (job.state == JobState::kRetrying && clock_.now() >= job.eligible_at)) {
-        return &job;
-      }
+  Delivery run(std::size_t slot, const Attempt& attempt) override {
+    const Endpoint& endpoint = endpoints_[slot];
+    Delivery delivery;
+    Tallies tally{};
+    delivery.fault = exchange(endpoint, attempt, delivery, tally);
+    if (delivery.fault != WorkerFault::kNone) {
+      delivery.detail = endpoint.host + ":" + std::to_string(endpoint.port) + ": " + delivery.detail;
     }
-    return nullptr;
+    for (std::size_t t = 0; t < kTallyCount; ++t) {
+      if (counters_[t] != nullptr) delivery.counts.emplace_back(counters_[t], tally[t]);
+    }
+    return delivery;
   }
 
-  void dispatch_loop(const Endpoint& endpoint) {
-    for (;;) {
-      std::size_t index = 0;
-      int attempt = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (terminal_locked()) return;
-        Job* job = pick_eligible_locked();
-        if (job == nullptr) {
-          // Nothing runnable right now; jobs running elsewhere may still
-          // fail back into the queue, so idle rather than exit.
-        } else {
-          job->state = JobState::kRunning;
-          attempt = ++job->launches;
-          index = job->index;
-          if (metrics_.attempts != nullptr) metrics_.attempts->add();
-        }
-      }
-      if (attempt == 0) {
-        std::this_thread::sleep_for(kIdleTick);
-        continue;
-      }
-
-      std::string detail;
-      AttemptStats stats;
-      std::map<std::uint32_t, TraceShard> delivered;
-      const WorkerFault fault =
-          attempt_job(endpoint, jobs_[index], attempt, detail, stats, delivered);
-      settle(endpoint, jobs_[index], attempt, fault, detail, stats, std::move(delivered));
-    }
+ private:
+  JobMsg job_message(const Attempt& attempt) const {
+    JobMsg msg;
+    msg.job_id = attempt.job;
+    msg.attempt = static_cast<std::uint32_t>(attempt.number);
+    msg.dataset = meta_.dataset;
+    msg.scale = config_.scale;
+    msg.trace_count = meta_.trace_count;
+    msg.lo = static_cast<std::uint32_t>(attempt.lo);
+    msg.hi = static_cast<std::uint32_t>(attempt.hi);
+    msg.threads = static_cast<std::uint32_t>(config_.shard_threads);
+    msg.heartbeat_interval_ms = static_cast<std::uint32_t>(config_.heartbeat_interval * 1000.0);
+    // Refuse is acted out here, never by the worker.
+    msg.injected_fault = static_cast<std::uint8_t>(
+        attempt.injected == InjectedFault::kRefuseInject ? InjectedFault::kNoInject
+                                                         : attempt.injected);
+    return msg;
   }
 
-  // One network attempt at `job` against `endpoint`: connect, handshake,
-  // dispatch, gather, validate.  Pure I/O — no shared state is touched
-  // (job.lo/hi/index are immutable after prepare()).
-  WorkerFault attempt_job(const Endpoint& endpoint, const Job& job, int attempt,
-                          std::string& detail, AttemptStats& stats,
-                          std::map<std::uint32_t, TraceShard>& delivered) {
-    const NetInjectedFault injected = config_.inject.draw(job.index, attempt);
-
-    std::string host = endpoint.host;
-    std::uint16_t port = endpoint.port;
-    if (injected == NetInjectedFault::kRefuseInject) {
-      host = "127.0.0.1";
-      port = dead_port_;
-    }
+  // One network attempt: connect, handshake, dispatch, gather, and check
+  // the stream against DONE.  On success the snapshot bytes are in
+  // `delivery.snapshot`; otherwise `delivery.detail` says what went wrong.
+  WorkerFault exchange(const Endpoint& endpoint, const Attempt& attempt, Delivery& delivery,
+                       Tallies& tally) const {
+    std::string& detail = delivery.detail;
+    std::vector<std::uint8_t>& snapshot_bytes = delivery.snapshot;
+    const bool refuse = attempt.injected == InjectedFault::kRefuseInject;
     std::string error;
-    util::ScopedFd fd = util::tcp_connect(host, port, config_.connect_timeout, &error);
+    util::ScopedFd fd = util::tcp_connect(refuse ? "127.0.0.1" : endpoint.host,
+                                          refuse ? dead_port_ : endpoint.port,
+                                          config_.connect_timeout, &error);
     if (!fd.valid()) {
       detail = error;
       return WorkerFault::kConnectRefused;
     }
-    stats.connected = true;
+    ++tally[kConnects];
 
     FrameDecoder decoder;
-    std::vector<std::uint8_t> snapshot_bytes;
     std::optional<DoneMsg> done;
     bool got_hello = false;
     char buf[16384];
@@ -270,18 +156,12 @@ class Coordinator {
         std::chrono::milliseconds(static_cast<long>(config_.heartbeat_deadline * 1000.0));
 
     while (!done.has_value()) {
-      // Drain every complete frame before blocking again.
-      std::optional<Frame> frame;
+      // Drain every complete frame before blocking again.  Damage in the
+      // framing or in a payload is a corrupt frame either way.
       try {
-        frame = decoder.next();
-      } catch (const ProtocolError& e) {
-        detail = e.what();
-        return WorkerFault::kCorruptFrame;
-      }
-      if (frame.has_value()) {
-        last_frame = std::chrono::steady_clock::now();
-        ++stats.frames;
-        try {
+        if (const std::optional<Frame> frame = decoder.next()) {
+          last_frame = std::chrono::steady_clock::now();
+          ++tally[kFramesRx];
           switch (frame->type) {
             case MsgType::kHello: {
               const HelloMsg hello = HelloMsg::decode(*frame);
@@ -296,21 +176,7 @@ class Coordinator {
                 return WorkerFault::kCorruptFrame;
               }
               got_hello = true;
-              JobMsg msg;
-              msg.job_id = job.index;
-              msg.attempt = static_cast<std::uint32_t>(attempt);
-              msg.dataset = spec_.name;
-              msg.scale = config_.scale;
-              msg.trace_count = static_cast<std::uint32_t>(trace_count_);
-              msg.lo = static_cast<std::uint32_t>(job.lo);
-              msg.hi = static_cast<std::uint32_t>(job.hi);
-              msg.threads = static_cast<std::uint32_t>(config_.shard_threads);
-              msg.heartbeat_interval_ms =
-                  static_cast<std::uint32_t>(config_.heartbeat_interval * 1000.0);
-              msg.injected_fault = static_cast<std::uint8_t>(
-                  injected == NetInjectedFault::kRefuseInject ? NetInjectedFault::kNoInject
-                                                              : injected);
-              const std::vector<std::uint8_t> job_frame = msg.encode();
+              const std::vector<std::uint8_t> job_frame = job_message(attempt).encode();
               if (!util::send_all(fd.get(), job_frame.data(), job_frame.size())) {
                 detail = "connection lost sending JOB";
                 return WorkerFault::kDisconnect;
@@ -319,14 +185,14 @@ class Coordinator {
             }
             case MsgType::kHeartbeat: {
               HeartbeatMsg::decode(*frame);
-              ++stats.heartbeats;
+              ++tally[kHeartbeatsRx];
               break;
             }
             case MsgType::kSnapshotChunk: {
               SnapshotChunkMsg chunk = SnapshotChunkMsg::decode(*frame);
-              if (chunk.job_id != job.index) {
+              if (chunk.job_id != attempt.job) {
                 detail = "chunk for job " + std::to_string(chunk.job_id) + " on job " +
-                         std::to_string(job.index) + "'s connection";
+                         std::to_string(attempt.job) + "'s connection";
                 return WorkerFault::kCorruptFrame;
               }
               if (chunk.offset != snapshot_bytes.size()) {
@@ -337,7 +203,7 @@ class Coordinator {
               }
               snapshot_bytes.insert(snapshot_bytes.end(), chunk.bytes.begin(),
                                     chunk.bytes.end());
-              ++stats.chunks;
+              ++tally[kChunksRx];
               break;
             }
             case MsgType::kDone: {
@@ -356,11 +222,11 @@ class Coordinator {
               return WorkerFault::kCorruptFrame;
             }
           }
-        } catch (const ProtocolError& e) {
-          detail = e.what();
-          return WorkerFault::kCorruptFrame;
+          continue;
         }
-        continue;
+      } catch (const ProtocolError& e) {
+        detail = e.what();
+        return WorkerFault::kCorruptFrame;
       }
 
       // No complete frame buffered: wait for bytes, bounded by the
@@ -392,11 +258,11 @@ class Coordinator {
         return WorkerFault::kDisconnect;
       }
       decoder.feed(buf, static_cast<std::size_t>(n));
-      stats.bytes_rx += static_cast<std::uint64_t>(n);
+      tally[kBytesRx] += static_cast<std::uint64_t>(n);
     }
 
-    // Transfer complete: the bytes now have to earn trust, exactly like a
-    // shard file delivered by a subprocess.
+    // Transfer complete: the stream must match its commit record before
+    // the scheduler gives the bytes the same scrutiny as a shard file.
     if (done->total_bytes != snapshot_bytes.size()) {
       detail = "DONE declares " + std::to_string(done->total_bytes) + " bytes, received " +
                std::to_string(snapshot_bytes.size());
@@ -406,114 +272,14 @@ class Coordinator {
       detail = "whole-stream CRC mismatch";
       return WorkerFault::kSnapshotRejected;
     }
-    snapshot::Snapshot snap;
-    try {
-      snap = snapshot::decode_snapshot(snapshot_bytes);
-    } catch (const snapshot::SnapshotError& e) {
-      detail = e.what();
-      return orchestrate::classify_snapshot_error(e);
-    }
-    const std::string mismatch = snapshot::describe_range_mismatch(snap, meta_, job.lo, job.hi);
-    if (!mismatch.empty()) {
-      detail = mismatch;
-      return WorkerFault::kWrongTraceRange;
-    }
-    for (snapshot::SnapshotShard& shard : snap.shards) {
-      delivered[shard.trace_index] = std::move(shard.shard);
-    }
     return WorkerFault::kNone;
   }
 
-  void settle(const Endpoint& endpoint, Job& job, int attempt, WorkerFault fault,
-              const std::string& detail, const AttemptStats& stats,
-              std::map<std::uint32_t, TraceShard>&& delivered) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (metrics_.connects != nullptr && stats.connected) metrics_.connects->add();
-    if (metrics_.bytes_rx != nullptr) metrics_.bytes_rx->add(stats.bytes_rx);
-    if (metrics_.frames_rx != nullptr) metrics_.frames_rx->add(stats.frames);
-    if (metrics_.heartbeats_rx != nullptr) metrics_.heartbeats_rx->add(stats.heartbeats);
-    if (metrics_.chunks_rx != nullptr) metrics_.chunks_rx->add(stats.chunks);
-
-    if (fault == WorkerFault::kNone) {
-      for (auto& [index, shard] : delivered) shards_[index] = std::move(shard);
-      job.state = JobState::kDone;
-      if (metrics_.jobs_done != nullptr) metrics_.jobs_done->add();
-      log("job %zu done on %s (attempt %d): traces [%zu, %zu)", job.index,
-          endpoint.label.c_str(), attempt, job.lo, job.hi);
-      return;
-    }
-
-    job.faults.push_back(fault);
-    fault_counts_[fault] += 1;
-    if (metrics_.faults[static_cast<std::size_t>(fault)] != nullptr) {
-      metrics_.faults[static_cast<std::size_t>(fault)]->add();
-    }
-    if (config_.retry.should_retry(attempt)) {
-      const double backoff = config_.retry.backoff_seconds(job.index, attempt);
-      job.state = JobState::kRetrying;
-      job.eligible_at = clock_.now() + backoff;
-      if (metrics_.reconnects != nullptr) metrics_.reconnects->add();
-      if (metrics_.backoff_seconds != nullptr) metrics_.backoff_seconds->add(backoff);
-      log("job %zu attempt %d on %s: %s (%s); redispatch in %.3fs", job.index, attempt,
-          endpoint.label.c_str(), to_string(fault), detail.c_str(), backoff);
-    } else {
-      job.state = JobState::kFailed;
-      if (metrics_.jobs_failed != nullptr) metrics_.jobs_failed->add();
-      log("job %zu FAILED after %d attempts: %s (%s); traces [%zu, %zu) will be missing",
-          job.index, attempt, to_string(fault), detail.c_str(), job.lo, job.hi);
-    }
-  }
-
-  orchestrate::OrchestrateResult finish() {
-    orchestrate::OrchestrateResult result;
-    result.spec = spec_;
-    result.fault_counts = fault_counts_;
-    std::vector<std::uint32_t> present;
-    present.reserve(shards_.size());
-    for (const auto& [index, shard] : shards_) present.push_back(index);
-    result.manifest = orchestrate::manifest_for(meta_, present);
-    result.complete = result.manifest.complete();
-
-    for (const Job& job : jobs_) {
-      orchestrate::JobOutcome outcome;
-      outcome.index = job.index;
-      outcome.lo = job.lo;
-      outcome.hi = job.hi;
-      outcome.state = job.state;
-      outcome.attempts = job.launches;
-      outcome.faults = job.faults;
-      result.attempts += static_cast<std::uint64_t>(job.launches);
-      result.retries += static_cast<std::uint64_t>(std::max(0, job.launches - 1));
-      result.jobs.push_back(std::move(outcome));
-    }
-
-    // The deterministic fold, in trace-index order (std::map iteration) —
-    // the exact path the supervisor and entrace_merge share, which is what
-    // makes the clustered report byte-identical to a direct run.
-    const EnterpriseModel model;
-    std::vector<TraceShard> shards;
-    shards.reserve(shards_.size());
-    for (auto& [index, shard] : shards_) shards.push_back(std::move(shard));
-    result.shards_folded = shards.size();
-    result.analysis =
-        fold_shards(spec_.name, std::move(shards), default_config_for_model(model.site()));
-    shards_.clear();
-    return result;
-  }
-
   const ClusterConfig& config_;
-  util::Clock& clock_;
-  Metrics metrics_;
-  DatasetSpec spec_;
-  snapshot::SnapshotMeta meta_;
-  std::size_t trace_count_ = 0;
+  std::array<obs::Counter*, kTallyCount> counters_{};
   std::vector<Endpoint> endpoints_;
+  snapshot::SnapshotMeta meta_;
   std::uint16_t dead_port_ = 1;  // refuse-inject target; rebound in prepare()
-
-  std::mutex mu_;  // guards jobs_ states, shards_, fault_counts_, metrics
-  std::vector<Job> jobs_;
-  std::map<std::uint32_t, TraceShard> shards_;
-  orchestrate::WorkerFaultCounts fault_counts_;
 };
 
 }  // namespace
@@ -522,18 +288,8 @@ bool parse_endpoints(const std::string& spec, std::vector<std::string>& out, std
   out.clear();
   for (const std::string_view part : split(spec, ',')) {
     if (part.empty()) continue;
-    const std::size_t colon = part.rfind(':');
-    if (colon == std::string_view::npos || colon == 0 || colon + 1 >= part.size()) {
-      if (error != nullptr) *error = "endpoint '" + std::string(part) + "' is not host:port";
-      return false;
-    }
-    char* end = nullptr;
-    const std::string port_text(part.substr(colon + 1));
-    const long port = std::strtol(port_text.c_str(), &end, 10);
-    if (*end != '\0' || port < 1 || port > 65535) {
-      if (error != nullptr) *error = "endpoint '" + std::string(part) + "' has a bad port";
-      return false;
-    }
+    Endpoint endpoint;
+    if (!parse_endpoint(part, endpoint, error)) return false;
     out.emplace_back(part);
   }
   if (out.empty()) {
@@ -544,9 +300,8 @@ bool parse_endpoints(const std::string& spec, std::vector<std::string>& out, std
 }
 
 orchestrate::OrchestrateResult run_cluster(const ClusterConfig& config) {
-  util::SystemClock system_clock;
-  util::Clock& clock = config.clock != nullptr ? *config.clock : system_clock;
-  return Coordinator(config, clock).run();
+  TcpTransport transport(config);
+  return orchestrate::run_jobs(config, transport);
 }
 
 }  // namespace entrace::cluster

@@ -1,62 +1,32 @@
-// Coordinator: the dispatch side of the cluster protocol — host-level
-// sharding with the same contract the process-level supervisor
-// (orchestrate/supervisor.h) established.
+// TCP dispatch: the job scheduler (orchestrate/scheduler.h) carrying each
+// attempt to an entrace_worker endpoint over the cluster protocol
+// (protocol.h) — host-level sharding under the same contract as the
+// subprocess transport.
 //
-// The dataset's traces are partitioned into M jobs exactly as the
-// supervisor partitions them (lo = n*i/M, hi = n*(i+1)/M), and one
-// dispatch thread per endpoint pulls eligible jobs from a shared queue:
+// Per attempt: connect, wait for HELLO, send JOB, then gather heartbeats,
+// SNAPSHOT chunks and DONE.  Liveness is judged by the heartbeat deadline:
+// ANY frame from the worker (heartbeat, chunk, DONE) refreshes it, so a
+// worker mid-transfer is never "hung".  A worker's bytes are never
+// trusted: DONE means nothing until the whole-stream CRC matches, after
+// which the scheduler decodes the snapshot and checks its exact slice.
 //
-//   pending ──dispatch──> running ──validated snapshot──> done
-//      ^                     │
-//      │                     ├─ connect-refused / disconnect / corrupt
-//      │                     │  frame / heartbeat timeout / rejected or
-//      │                     │  truncated snapshot / wrong range / ERROR
-//      │                     v
-//      └──backoff────── retrying ──budget exhausted──> failed
-//
-// A failed attempt's range goes back in the queue and is picked up by
-// whichever endpoint frees up first — reassignment away from a dead or
-// hung worker falls out of the queue discipline.  Liveness is judged by
-// the heartbeat deadline: ANY frame from the worker (heartbeat, chunk,
-// DONE) refreshes it, so a worker mid-transfer is never "hung".
-//
-// Snapshots are validated and decoded incrementally as each DONE arrives
-// (no barrier on all N workers); the terminal fold runs in trace-index
-// order over the accumulated shards — the exact fold_shards path the
-// supervisor and entrace_merge share — so for any endpoint count, fault
-// schedule, and arrival order in which every range eventually succeeds,
-// render_report(run_cluster(...)) is byte-identical to a direct
-// single-process run.  Exhausted budgets degrade to the CoverageManifest
-// + PARTIAL banner, never a crash or a torn fold.
-//
-// A worker's bytes are never trusted: DONE means nothing until the
-// whole-stream CRC matches, the snapshot decodes (untrusted-input
-// reader), and describe_range_mismatch confirms the exact slice.
+// Injected faults this transport performs: refuse is executed
+// coordinator-side by dialing a port that is known dead; disconnect,
+// corrupt and hang ride to the worker in JOB.injected_fault and are acted
+// out there.  crash and truncate are subprocess faults and a configuration
+// error here.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "cluster/fault.h"
-#include "obs/metrics.h"
-#include "orchestrate/supervisor.h"
-#include "util/retry.h"
+#include "orchestrate/scheduler.h"
 
 namespace entrace::cluster {
 
-struct ClusterConfig {
-  std::string dataset = "D0";
-  double scale = 0.01;
+struct ClusterConfig : orchestrate::DispatchConfig {
   // Worker endpoints, "host:port".  At least one is required.
   std::vector<std::string> endpoints;
-  // Trace-range partitions.  0 = one job per endpoint.  Clamped to the
-  // trace count (a job always covers at least one trace).
-  std::size_t jobs = 0;
-  // --threads requested from each worker's analysis.
-  std::size_t shard_threads = 1;
-  // Per-job attempt budget + backoff schedule (seeded, deterministic).
-  util::RetryPolicy retry;
   // Seconds to establish a connection before the attempt counts as
   // connect-refused.
   double connect_timeout = 2.0;
@@ -64,27 +34,18 @@ struct ClusterConfig {
   // waits without receiving ANY frame before declaring the worker hung.
   double heartbeat_interval = 0.1;
   double heartbeat_deadline = 5.0;
-  // Deterministic network-fault harness (off by default).
-  NetFaultInjection inject;
-  // nullptr = a real monotonic clock (used for backoff scheduling; the
-  // heartbeat deadline always runs on real time because it judges a real
-  // network peer).
-  util::Clock* clock = nullptr;
-  // cluster.* telemetry (timing class).  Optional.
-  obs::Registry* metrics = nullptr;
-  // Per-event progress lines on stderr.
-  bool verbose = false;
 };
 
 // Split "host:port,host:port,..." into an endpoint list.  False with
 // *error set when an entry has no port or the port does not parse.
 bool parse_endpoints(const std::string& spec, std::vector<std::string>& out, std::string* error);
 
-// Run the cluster dispatch loop to completion.  Throws std::runtime_error
-// only for configuration errors (no endpoints, empty dataset); network and
-// worker failures never throw — they end in the manifest.  The result type
-// is the supervisor's, so orchestrate::render_report renders it with the
-// identical complete/PARTIAL semantics.
+// Run every job to completion over the endpoints.  Throws
+// std::runtime_error only for configuration errors (no or malformed
+// endpoints, empty dataset, a subprocess fault kind in `inject`); network
+// and worker failures never throw — they end in the manifest.  The
+// cluster.* metrics add connects and bytes/frames/heartbeats/chunks
+// received.
 orchestrate::OrchestrateResult run_cluster(const ClusterConfig& config);
 
 }  // namespace entrace::cluster

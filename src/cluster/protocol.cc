@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "orchestrate/fault.h"
+
 namespace entrace::cluster {
 
 namespace {
@@ -163,7 +165,18 @@ JobMsg JobMsg::decode(const Frame& frame) {
     msg.hi = r.u32();
     msg.threads = r.u32();
     msg.heartbeat_interval_ms = r.u32();
+    const std::size_t fault_offset = r.offset();
     msg.injected_fault = r.u8();
+    // A worker acts out disconnect, corrupt and hang.  Refuse happens at
+    // the coordinator; crash and truncate are subprocess faults.
+    using orchestrate::InjectedFault;
+    const auto fault = static_cast<InjectedFault>(msg.injected_fault);
+    if (fault != InjectedFault::kNoInject &&
+        (fault < InjectedFault::kDisconnectInject || fault > InjectedFault::kHangInject)) {
+      throw snapshot::SnapshotError(fault_offset, "injected_fault " +
+                                                      std::to_string(msg.injected_fault) +
+                                                      " is not a fault a worker performs");
+    }
     return msg;
   });
 }

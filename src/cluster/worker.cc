@@ -9,9 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/fault.h"
 #include "cluster/protocol.h"
 #include "core/analyzer.h"
+#include "orchestrate/fault.h"
 #include "snapshot/writer.h"
 #include "synth/model.h"
 #include "synth/synth_source.h"
@@ -124,17 +124,16 @@ void WorkerServer::handle_connection(int fd) {
 }
 
 bool WorkerServer::handle_job(int fd, const JobMsg& job) {
-  const auto injected = static_cast<NetInjectedFault>(
-      job.injected_fault < static_cast<std::uint8_t>(NetInjectedFault::kNetFaultCount)
-          ? job.injected_fault
-          : 0);
+  using orchestrate::InjectedFault;
+  // JobMsg::decode admits only the kinds a worker performs.
+  const auto injected = static_cast<InjectedFault>(job.injected_fault);
   if (config_.verbose) {
     std::fprintf(stderr, "[%s] job %llu attempt %u: %s[%u, %u) threads=%u inject=%s\n",
                  config_.name.c_str(), static_cast<unsigned long long>(job.job_id), job.attempt,
                  job.dataset.c_str(), job.lo, job.hi, job.threads, to_string(injected));
   }
 
-  if (injected == NetInjectedFault::kHangInject) {
+  if (injected == InjectedFault::kHangInject) {
     // Go silent: no heartbeats, no data.  Wait for the coordinator's
     // deadline to close the connection so the next accept finds a healthy
     // worker, with a cap in case it never does.
@@ -198,7 +197,7 @@ bool WorkerServer::handle_job(int fd, const JobMsg& job) {
   const std::size_t total = bytes.size();
   const std::size_t chunks = (total + kSnapshotChunkSize - 1) / kSnapshotChunkSize;
   const std::size_t disconnect_after =
-      injected == NetInjectedFault::kDisconnectInject ? (chunks > 1 ? chunks / 2 : 0) : chunks + 1;
+      injected == InjectedFault::kDisconnectInject ? (chunks > 1 ? chunks / 2 : 0) : chunks + 1;
   for (std::size_t c = 0; c < chunks; ++c) {
     if (c >= disconnect_after) return false;  // mid-stream hangup, injected
     SnapshotChunkMsg chunk;
@@ -207,7 +206,7 @@ bool WorkerServer::handle_job(int fd, const JobMsg& job) {
     const std::size_t len = std::min(kSnapshotChunkSize, total - c * kSnapshotChunkSize);
     chunk.bytes.assign(data + chunk.offset, data + chunk.offset + len);
     std::vector<std::uint8_t> chunk_frame = chunk.encode();
-    if (c == 0 && injected == NetInjectedFault::kCorruptFrameInject) {
+    if (c == 0 && injected == InjectedFault::kCorruptInject) {
       // Flip a bit inside the frame's payload region, past the header, so
       // the damage is a CRC mismatch rather than bad framing.
       chunk_frame[kFrameHeaderSize + (chunk_frame.size() / 2) % len] ^= 0x10;

@@ -20,7 +20,7 @@
 // cannot run (unknown dataset, range outside the trace count) answers
 // with an ERROR frame — the worker survives and serves the next job.
 //
-// JOB.injected_fault (cluster/fault.h, drawn centrally by the
+// JOB.injected_fault (orchestrate/fault.h, drawn centrally by the
 // coordinator) makes the worker act out its own failures: drop the
 // connection mid-stream, flip a bit in an outgoing frame, or go silent
 // until the coordinator's heartbeat deadline gives up on us.

@@ -1,55 +1,73 @@
 #include "orchestrate/fault.h"
 
 #include <cstdlib>
-#include <vector>
+#include <string_view>
 
 #include "util/rng.h"
 #include "util/strings.h"
 
 namespace entrace::orchestrate {
 
+namespace {
+
+constexpr const char* kWorkerFaultNames[kWorkerFaultCount] = {
+    "none", "crash", "timeout-kill", "truncated-snapshot", "snapshot-rejected",
+    "wrong-trace-range", "connect-refused", "disconnect", "corrupt-frame", "heartbeat-timeout"};
+
+// The fault table: each injectable kind, the FaultInjection field that
+// holds its probability, and what each transport classifies it as (kNone:
+// the transport cannot perform it).
+struct KindRow {
+  const char* name;
+  double FaultInjection::*probability;
+  WorkerFault subprocess;
+  WorkerFault tcp;
+};
+
+constexpr KindRow kKinds[kInjectedFaultCount] = {
+    {"none", nullptr, WorkerFault::kNone, WorkerFault::kNone},
+    {"refuse", &FaultInjection::refuse, WorkerFault::kNone, WorkerFault::kConnectRefused},
+    {"disconnect", &FaultInjection::disconnect, WorkerFault::kNone, WorkerFault::kDisconnect},
+    {"corrupt", &FaultInjection::corrupt, WorkerFault::kSnapshotRejected,
+     WorkerFault::kCorruptFrame},
+    {"hang", &FaultInjection::hang, WorkerFault::kTimeoutKill, WorkerFault::kHeartbeatTimeout},
+    {"crash", &FaultInjection::crash, WorkerFault::kCrash, WorkerFault::kNone},
+    {"truncate", &FaultInjection::truncate, WorkerFault::kTruncatedSnapshot, WorkerFault::kNone},
+};
+
+const KindRow* row(InjectedFault fault) {
+  const auto i = static_cast<std::size_t>(fault);
+  return i < kInjectedFaultCount ? &kKinds[i] : nullptr;
+}
+
+}  // namespace
+
 const char* to_string(WorkerFault fault) {
-  switch (fault) {
-    case WorkerFault::kNone:
-      return "none";
-    case WorkerFault::kCrash:
-      return "crash";
-    case WorkerFault::kTimeoutKill:
-      return "timeout-kill";
-    case WorkerFault::kTruncatedSnapshot:
-      return "truncated-snapshot";
-    case WorkerFault::kSnapshotRejected:
-      return "snapshot-rejected";
-    case WorkerFault::kWrongTraceRange:
-      return "wrong-trace-range";
-    case WorkerFault::kConnectRefused:
-      return "connect-refused";
-    case WorkerFault::kDisconnect:
-      return "disconnect";
-    case WorkerFault::kCorruptFrame:
-      return "corrupt-frame";
-    case WorkerFault::kHeartbeatTimeout:
-      return "heartbeat-timeout";
-    case WorkerFault::kCount:
-      break;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(fault);
+  return i < kWorkerFaultCount ? kWorkerFaultNames[i] : "?";
 }
 
 const char* to_string(InjectedFault fault) {
-  switch (fault) {
-    case InjectedFault::kNoInject:
-      return "none";
-    case InjectedFault::kCrashInject:
-      return "crash";
-    case InjectedFault::kHangInject:
-      return "hang";
-    case InjectedFault::kTruncateInject:
-      return "truncate";
-    case InjectedFault::kCorruptInject:
-      return "corrupt";
+  const KindRow* r = row(fault);
+  return r != nullptr ? r->name : "?";
+}
+
+WorkerFault expected_fault(InjectedFault fault, TransportKind transport) {
+  const KindRow* r = row(fault);
+  if (r == nullptr) return WorkerFault::kNone;
+  return transport == TransportKind::kTcp ? r->tcp : r->subprocess;
+}
+
+double FaultInjection::probability(InjectedFault fault) const {
+  const KindRow* r = row(fault);
+  return r != nullptr && r->probability != nullptr ? this->*(r->probability) : 0.0;
+}
+
+bool FaultInjection::any() const {
+  for (const KindRow& r : kKinds) {
+    if (r.probability != nullptr && this->*(r.probability) > 0) return true;
   }
-  return "?";
+  return false;
 }
 
 InjectedFault FaultInjection::draw(std::uint64_t job, int attempt) const {
@@ -58,10 +76,9 @@ InjectedFault FaultInjection::draw(std::uint64_t job, int attempt) const {
   // fork-per-trace idiom: the schedule does not depend on dispatch order,
   // worker count, or how many other jobs retried first.
   Rng rng = Rng(seed).fork(job).fork(static_cast<std::uint64_t>(attempt));
-  if (rng.bernoulli(crash)) return InjectedFault::kCrashInject;
-  if (rng.bernoulli(hang)) return InjectedFault::kHangInject;
-  if (rng.bernoulli(truncate)) return InjectedFault::kTruncateInject;
-  if (rng.bernoulli(corrupt)) return InjectedFault::kCorruptInject;
+  for (std::size_t k = 1; k < kInjectedFaultCount; ++k) {
+    if (rng.bernoulli(this->*(kKinds[k].probability))) return static_cast<InjectedFault>(k);
+  }
   return InjectedFault::kNoInject;
 }
 
@@ -79,26 +96,24 @@ bool parse_inject_spec(const std::string& spec, FaultInjection& out, std::string
     const std::string value(part.substr(eq + 1));
     char* end = nullptr;
     const double p = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
+    if (end == value.c_str() || *end != '\0' || !(p >= 0.0 && p <= 1.0)) {
       if (error != nullptr) {
         *error = "--inject " + key + "=" + value + " is not a probability in [0, 1]";
       }
       return false;
     }
-    if (key == "crash") {
-      out.crash = p;
-    } else if (key == "hang") {
-      out.hang = p;
-    } else if (key == "truncate") {
-      out.truncate = p;
-    } else if (key == "corrupt") {
-      out.corrupt = p;
-    } else {
+    const KindRow* match = nullptr;
+    for (const KindRow& r : kKinds) {
+      if (r.probability != nullptr && key == r.name) match = &r;
+    }
+    if (match == nullptr) {
       if (error != nullptr) {
-        *error = "--inject key '" + key + "' unknown (want crash|hang|truncate|corrupt)";
+        *error = "--inject key '" + key +
+                 "' unknown (want refuse|disconnect|corrupt|hang|crash|truncate)";
       }
       return false;
     }
+    out.*(match->probability) = p;
   }
   return true;
 }

@@ -1,84 +1,18 @@
 #include "orchestrate/supervisor.h"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
-#include "core/report.h"
-#include "obs/stage_timer.h"
-#include "snapshot/reader.h"
-#include "synth/model.h"
-#include "synth/synth_source.h"
 #include "util/subprocess.h"
 
 namespace entrace::orchestrate {
 
 namespace {
-
-// Poll cadence of the supervision loop: long enough to keep the supervisor
-// idle-cheap, short enough that deadlines and backoff expiries are hit
-// within a few milliseconds.
-constexpr double kTickSeconds = 0.002;
-
-struct Job {
-  std::size_t index = 0;
-  std::size_t lo = 0, hi = 0;
-  std::string path;
-  JobState state = JobState::kPending;
-  int failed_attempts = 0;
-  int launches = 0;
-  double eligible_at = 0.0;  // clock time a retrying job may relaunch
-  std::vector<WorkerFault> faults;
-};
-
-struct RunningWorker {
-  std::size_t job = 0;  // index into the jobs vector
-  util::Subprocess proc;
-  double deadline_at = 0.0;
-  InjectedFault injected = InjectedFault::kNoInject;
-};
-
-// Handles into the orchestration telemetry, registered once (all timing
-// class: these describe the run, never the dataset, and must not perturb
-// the semantic determinism contract).
-struct Metrics {
-  obs::Counter* attempts = nullptr;
-  obs::Counter* retries = nullptr;
-  obs::Counter* kills = nullptr;
-  obs::Gauge* backoff_seconds = nullptr;
-  obs::Counter* jobs_done = nullptr;
-  obs::Counter* jobs_failed = nullptr;
-  std::array<obs::Counter*, kWorkerFaultCount> faults{};
-
-  explicit Metrics(obs::Registry* reg) {
-    if (reg == nullptr) return;
-    using obs::MetricClass;
-    attempts = reg->counter("orchestrate.attempts", MetricClass::kTiming,
-                            "worker launches across all jobs");
-    retries = reg->counter("orchestrate.retries", MetricClass::kTiming,
-                           "relaunches after a classified worker fault");
-    kills = reg->counter("orchestrate.kills", MetricClass::kTiming,
-                         "workers SIGKILLed at the attempt deadline");
-    backoff_seconds = reg->gauge("orchestrate.backoff.seconds", MetricClass::kTiming,
-                                 "total backoff delay scheduled before retries");
-    jobs_done = reg->counter("orchestrate.jobs.done", MetricClass::kTiming,
-                             "jobs that delivered a validated snapshot");
-    jobs_failed = reg->counter("orchestrate.jobs.failed", MetricClass::kTiming,
-                               "jobs that exhausted their attempt budget");
-    for (std::size_t f = 1; f < kWorkerFaultCount; ++f) {
-      std::string name = std::string("orchestrate.fault.") + to_string(static_cast<WorkerFault>(f));
-      std::replace(name.begin(), name.end(), '-', '_');
-      faults[f] = reg->counter(name, MetricClass::kTiming,
-                               "attempts that ended in this worker fault");
-    }
-  }
-};
 
 std::string format_scale(double scale) {
   // Shortest round-trippable spelling (the exposition idiom): the worker
@@ -91,371 +25,126 @@ std::string format_scale(double scale) {
   return buf;
 }
 
-class Supervisor {
+bool read_file(const std::string& path, std::vector<std::uint8_t>& bytes) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  bytes.resize(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  return bytes.empty() || static_cast<bool>(in.read(reinterpret_cast<char*>(bytes.data()),
+                                                    static_cast<std::streamsize>(bytes.size())));
+}
+
+class SubprocessTransport final : public Transport {
  public:
-  Supervisor(const OrchestratorConfig& config, util::Clock& clock)
-      : config_(config), clock_(clock), metrics_(config.metrics) {}
-
-  OrchestrateResult run() {
-    const double start = clock_.now();
-    prepare();
-    loop();
-    OrchestrateResult result = finish();
-    if (config_.metrics != nullptr) {
-      obs::record_stage(config_.metrics, "orchestrate", clock_.now() - start, jobs_.size());
-    }
-    return result;
-  }
-
- private:
-  void log(const char* fmt, ...) const __attribute__((format(printf, 2, 3))) {
-    if (!config_.verbose) return;
-    va_list args;
-    va_start(args, fmt);
-    std::fprintf(stderr, "[orchestrate] ");
-    std::vfprintf(stderr, fmt, args);
-    std::fprintf(stderr, "\n");
-    va_end(args);
-  }
-
-  void prepare() {
-    if (config_.shard_binary.empty()) {
-      throw std::runtime_error("orchestrate: shard_binary not set");
-    }
+  explicit SubprocessTransport(const OrchestratorConfig& config) : config_(config) {
     std::error_code ec;
-    if (!std::filesystem::exists(config_.shard_binary, ec)) {
-      throw std::runtime_error("orchestrate: worker binary " + config_.shard_binary +
+    if (config.shard_binary.empty() || !std::filesystem::exists(config.shard_binary, ec)) {
+      throw std::runtime_error("orchestrate: worker binary " + config.shard_binary +
                                " does not exist");
     }
-    if (config_.work_dir.empty()) {
+    if (config.work_dir.empty()) {
       throw std::runtime_error("orchestrate: work_dir not set");
     }
-    std::filesystem::create_directories(config_.work_dir, ec);
+    std::filesystem::create_directories(config.work_dir, ec);
     if (ec) {
-      throw std::runtime_error("orchestrate: cannot create work dir " + config_.work_dir + ": " +
+      throw std::runtime_error("orchestrate: cannot create work dir " + config.work_dir + ": " +
                                ec.message());
     }
-
-    spec_ = dataset_by_name(config_.dataset, config_.scale);
-    const EnterpriseModel model;
-    trace_count_ = SyntheticTraceSourceSet(spec_, model).size();
-    if (trace_count_ == 0) {
-      throw std::runtime_error("orchestrate: dataset " + config_.dataset + " has no traces");
-    }
-    meta_ = snapshot::SnapshotMeta{spec_.name, config_.scale,
-                                   static_cast<std::uint32_t>(trace_count_)};
-
-    const std::size_t workers = std::max<std::size_t>(1, config_.workers);
-    std::size_t m = config_.jobs == 0 ? workers : config_.jobs;
-    m = std::min(std::max<std::size_t>(1, m), trace_count_);
-    jobs_.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      Job& job = jobs_[i];
-      job.index = i;
-      job.lo = trace_count_ * i / m;
-      job.hi = trace_count_ * (i + 1) / m;
-      job.path = (std::filesystem::path(config_.work_dir) /
-                  ("job_" + std::to_string(i) + ".esnap"))
-                     .string();
-    }
-    log("%zu traces of %s in %zu jobs on %zu workers (budget %d attempts/job)",
-        trace_count_, spec_.name.c_str(), m, workers, config_.retry.max_attempts);
-  }
-
-  // One pass: launch every eligible job (capacity permitting), reap or
-  // deadline-kill running workers.  Returns true while work remains.
-  bool step() {
-    const std::size_t workers = std::max<std::size_t>(1, config_.workers);
-    for (Job& job : jobs_) {
-      if (running_.size() >= workers) break;
-      const bool eligible =
-          job.state == JobState::kPending ||
-          (job.state == JobState::kRetrying && clock_.now() >= job.eligible_at);
-      if (eligible) launch(job);
-    }
-
-    bool reaped = false;
-    for (std::size_t i = 0; i < running_.size();) {
-      RunningWorker& worker = running_[i];
-      std::optional<util::ExitStatus> status = worker.proc.poll();
-      bool timed_out = false;
-      if (!status.has_value() && clock_.now() >= worker.deadline_at) {
-        status = worker.proc.kill_and_wait();
-        timed_out = true;
-        if (metrics_.kills != nullptr) metrics_.kills->add();
-      }
-      if (status.has_value()) {
-        settle(jobs_[worker.job], *status, timed_out, worker.injected);
-        running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(i));
-        reaped = true;
-      } else {
-        ++i;
-      }
-    }
-    if (!reaped) idle_wait();
-    return !terminal();
-  }
-
-  void loop() {
-    while (step()) {
+    if (config.metrics != nullptr) {
+      kills_ = config.metrics->counter("orchestrate.kills", obs::MetricClass::kTiming,
+                                       "workers SIGKILLed at the attempt deadline");
     }
   }
 
-  // Nothing finished this pass: sleep one tick, or jump straight to the
-  // next backoff expiry when no worker is running (a FakeClock then makes
-  // the wait free).
-  void idle_wait() {
-    if (!running_.empty()) {
-      clock_.sleep(kTickSeconds);
-      return;
+  ~SubprocessTransport() override {
+    if (config_.keep_files) return;
+    std::error_code ec;
+    for (std::size_t job = 0; job < jobs_; ++job) {
+      std::filesystem::remove(job_path(job), ec);
+      std::filesystem::remove(job_path(job) + ".tmp", ec);
     }
-    double next = -1.0;
-    for (const Job& job : jobs_) {
-      if (job.state == JobState::kRetrying) {
-        next = next < 0 ? job.eligible_at : std::min(next, job.eligible_at);
-      }
-    }
-    if (next < 0) return;  // nothing retrying either: loop will terminate
-    const double wait = next - clock_.now();
-    if (wait > 0) clock_.sleep(wait);
   }
 
-  bool terminal() const {
-    return std::all_of(jobs_.begin(), jobs_.end(), [](const Job& job) {
-      return job.state == JobState::kDone || job.state == JobState::kFailed;
-    });
+  TransportKind kind() const override { return TransportKind::kSubprocess; }
+  std::size_t slots() const override { return std::max<std::size_t>(1, config_.workers); }
+
+  void prepare(const snapshot::SnapshotMeta& meta, std::size_t jobs) override {
+    meta_ = meta;
+    jobs_ = jobs;
   }
 
-  void launch(Job& job) {
-    ++job.launches;
-    if (metrics_.attempts != nullptr) metrics_.attempts->add();
-    const InjectedFault injected = config_.inject.draw(job.index, job.launches);
-
+  Delivery run(std::size_t /*slot*/, const Attempt& attempt) override {
+    const std::string path = job_path(attempt.job);
     std::vector<std::string> argv = {config_.shard_binary,
-                                     job.path,
-                                     spec_.name,
+                                     path,
+                                     meta_.dataset,
                                      format_scale(config_.scale),
                                      "--traces",
-                                     std::to_string(job.lo) + ":" + std::to_string(job.hi),
+                                     std::to_string(attempt.lo) + ":" + std::to_string(attempt.hi),
                                      "--threads",
                                      std::to_string(config_.shard_threads),
                                      "--resume"};
-    if (injected == InjectedFault::kCrashInject) {
+    if (attempt.injected == InjectedFault::kCrashInject ||
+        attempt.injected == InjectedFault::kHangInject) {
       argv.push_back("--inject-fault");
-      argv.push_back("crash");
-    } else if (injected == InjectedFault::kHangInject) {
-      argv.push_back("--inject-fault");
-      argv.push_back("hang");
+      argv.push_back(to_string(attempt.injected));
     }
 
-    RunningWorker worker;
-    worker.job = job.index;
-    worker.proc = util::Subprocess::spawn(argv);
-    worker.deadline_at = clock_.now() + config_.attempt_deadline;
-    worker.injected = injected;
-    job.state = JobState::kRunning;
-    log("job %zu attempt %d launched (traces [%zu, %zu), pid %d%s%s)", job.index, job.launches,
-        job.lo, job.hi, worker.proc.pid(),
-        injected == InjectedFault::kNoInject ? "" : ", injecting ",
-        injected == InjectedFault::kNoInject ? "" : to_string(injected));
-    running_.push_back(std::move(worker));
-  }
-
-  // Post-exit byte surgery for the two supervisor-applied injected faults.
-  void apply_post_faults(const Job& job, InjectedFault injected) {
-    if (injected != InjectedFault::kTruncateInject && injected != InjectedFault::kCorruptInject) {
-      return;
+    Delivery delivery;
+    util::Subprocess proc = util::Subprocess::spawn(argv);
+    const std::optional<util::ExitStatus> status = proc.wait_for(config_.attempt_deadline);
+    if (!status.has_value()) {
+      proc.kill_and_wait();
+      if (kills_ != nullptr) delivery.counts.emplace_back(kills_, 1);
+      delivery.fault = WorkerFault::kTimeoutKill;
+      delivery.detail = "deadline of " + std::to_string(config_.attempt_deadline) + "s exceeded";
+      return delivery;
     }
-    std::ifstream in(job.path, std::ios::binary | std::ios::ate);
-    if (!in) return;  // no file: validation will classify it as truncated
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    if (!bytes.empty() &&
-        !in.read(reinterpret_cast<char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()))) {
-      return;
+    if (!status->success()) {
+      delivery.fault = WorkerFault::kCrash;
+      delivery.detail = status->exited ? "exit code " + std::to_string(status->exit_code)
+                                       : "killed by signal " + std::to_string(status->term_signal);
+      return delivery;
     }
-    in.close();
-    if (injected == InjectedFault::kTruncateInject) {
-      truncate_snapshot_bytes(bytes, config_.inject, job.index, job.launches);
+    if (!read_file(path, delivery.snapshot)) {
+      // The worker "succeeded" without delivering a file: the byte-level
+      // analogue of truncation.
+      delivery.fault = WorkerFault::kTruncatedSnapshot;
+      delivery.detail = "cannot read " + path;
+      return delivery;
+    }
+    if (attempt.injected == InjectedFault::kTruncateInject) {
+      truncate_snapshot_bytes(delivery.snapshot, config_.inject, attempt.job, attempt.number);
+    } else if (attempt.injected == InjectedFault::kCorruptInject) {
+      corrupt_snapshot_bytes(delivery.snapshot);
     } else {
-      corrupt_snapshot_bytes(bytes);
+      return delivery;
     }
-    std::ofstream out(job.path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    // Damage the file itself, not just the bytes in hand, so that a
+    // --resume retry must redo the analysis.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(delivery.snapshot.data()),
+              static_cast<std::streamsize>(delivery.snapshot.size()));
+    return delivery;
   }
 
-  // Classify a finished attempt and advance the job's state machine.
-  void settle(Job& job, const util::ExitStatus& status, bool timed_out, InjectedFault injected) {
-    WorkerFault fault = WorkerFault::kNone;
-    std::string detail;
-    if (timed_out) {
-      fault = WorkerFault::kTimeoutKill;
-      detail = "deadline of " + std::to_string(config_.attempt_deadline) + "s exceeded";
-    } else if (!status.success()) {
-      fault = WorkerFault::kCrash;
-      detail = status.exited ? "exit code " + std::to_string(status.exit_code)
-                             : "killed by signal " + std::to_string(status.term_signal);
-    } else {
-      apply_post_faults(job, injected);
-      fault = validate(job, detail);
-    }
-
-    if (fault == WorkerFault::kNone) {
-      job.state = JobState::kDone;
-      if (metrics_.jobs_done != nullptr) metrics_.jobs_done->add();
-      log("job %zu done after %d attempt%s", job.index, job.launches,
-          job.launches == 1 ? "" : "s");
-      return;
-    }
-
-    ++job.failed_attempts;
-    job.faults.push_back(fault);
-    fault_counts_[fault] += 1;
-    if (metrics_.faults[static_cast<std::size_t>(fault)] != nullptr) {
-      metrics_.faults[static_cast<std::size_t>(fault)]->add();
-    }
-    if (config_.retry.should_retry(job.failed_attempts)) {
-      const double backoff = config_.retry.backoff_seconds(job.index, job.failed_attempts);
-      job.state = JobState::kRetrying;
-      job.eligible_at = clock_.now() + backoff;
-      if (metrics_.retries != nullptr) metrics_.retries->add();
-      if (metrics_.backoff_seconds != nullptr) metrics_.backoff_seconds->add(backoff);
-      log("job %zu attempt %d failed: %s (%s); retrying in %.3fs", job.index, job.launches,
-          to_string(fault), detail.c_str(), backoff);
-    } else {
-      job.state = JobState::kFailed;
-      if (metrics_.jobs_failed != nullptr) metrics_.jobs_failed->add();
-      log("job %zu FAILED after %d attempts: %s (%s); traces [%zu, %zu) will be missing",
-          job.index, job.launches, to_string(fault), detail.c_str(), job.lo, job.hi);
-    }
-  }
-
-  // Decode + validate a delivered snapshot; on success move its shards
-  // into the incremental store.  The worker's exit status already said
-  // "ok" — this is where its output earns trust.
-  WorkerFault validate(const Job& job, std::string& detail) {
-    snapshot::Snapshot snap;
-    try {
-      snap = snapshot::read_snapshot(job.path);
-    } catch (const snapshot::SnapshotError& e) {
-      detail = e.what();
-      return classify_snapshot_error(e);
-    } catch (const std::exception& e) {
-      // Cannot open / cannot read: the worker "succeeded" without
-      // delivering a file — the byte-level analogue of truncation.
-      detail = e.what();
-      return WorkerFault::kTruncatedSnapshot;
-    }
-    const std::string mismatch = describe_range_mismatch(snap, meta_, job.lo, job.hi);
-    if (!mismatch.empty()) {
-      detail = mismatch;
-      return WorkerFault::kWrongTraceRange;
-    }
-    for (snapshot::SnapshotShard& shard : snap.shards) {
-      shards_[shard.trace_index] = std::move(shard.shard);
-    }
-    return WorkerFault::kNone;
-  }
-
-  OrchestrateResult finish() {
-    OrchestrateResult result;
-    result.spec = spec_;
-    result.fault_counts = fault_counts_;
-    std::vector<std::uint32_t> present;
-    present.reserve(shards_.size());
-    for (const auto& [index, shard] : shards_) present.push_back(index);
-    result.manifest = manifest_for(meta_, present);
-    result.complete = result.manifest.complete();
-
-    for (const Job& job : jobs_) {
-      JobOutcome outcome;
-      outcome.index = job.index;
-      outcome.lo = job.lo;
-      outcome.hi = job.hi;
-      outcome.state = job.state;
-      outcome.attempts = job.launches;
-      outcome.faults = job.faults;
-      result.attempts += static_cast<std::uint64_t>(job.launches);
-      result.retries +=
-          static_cast<std::uint64_t>(std::max(0, job.launches - 1));
-      result.jobs.push_back(std::move(outcome));
-    }
-
-    // The deterministic fold, in trace-index order (std::map iteration) —
-    // the exact code path analyze_dataset and entrace_merge share, which is
-    // what makes the merged report byte-identical to a direct run.
-    const EnterpriseModel model;
-    std::vector<TraceShard> shards;
-    shards.reserve(shards_.size());
-    for (auto& [index, shard] : shards_) shards.push_back(std::move(shard));
-    result.shards_folded = shards.size();
-    result.analysis =
-        fold_shards(spec_.name, std::move(shards), default_config_for_model(model.site()));
-    shards_.clear();
-
-    if (!config_.keep_files) {
-      std::error_code ec;
-      for (const Job& job : jobs_) {
-        std::filesystem::remove(job.path, ec);
-        std::filesystem::remove(job.path + ".tmp", ec);
-      }
-    }
-    return result;
+ private:
+  std::string job_path(std::size_t job) const {
+    return (std::filesystem::path(config_.work_dir) / ("job_" + std::to_string(job) + ".esnap"))
+        .string();
   }
 
   const OrchestratorConfig& config_;
-  util::Clock& clock_;
-  Metrics metrics_;
-  DatasetSpec spec_;
+  obs::Counter* kills_ = nullptr;
   snapshot::SnapshotMeta meta_;
-  std::size_t trace_count_ = 0;
-  std::vector<Job> jobs_;
-  std::vector<RunningWorker> running_;
-  std::map<std::uint32_t, TraceShard> shards_;
-  WorkerFaultCounts fault_counts_;
+  std::size_t jobs_ = 0;
 };
 
 }  // namespace
 
-const char* to_string(JobState state) {
-  switch (state) {
-    case JobState::kPending:
-      return "pending";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kRetrying:
-      return "retrying";
-    case JobState::kDone:
-      return "done";
-    case JobState::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-
 OrchestrateResult orchestrate(const OrchestratorConfig& config) {
-  util::SystemClock system_clock;
-  util::Clock& clock = config.clock != nullptr ? *config.clock : system_clock;
-  return Supervisor(config, clock).run();
-}
-
-std::string render_report(const OrchestrateResult& result) {
-  std::string out;
-  if (!result.complete) {
-    out += partial_banner(result.manifest);
-    out += result.manifest.render();
-    out += "\n";
-    if (result.shards_folded == 0) {
-      out += "(no traces were analyzed; the report body is omitted)\n";
-      return out;
-    }
-  }
-  const report::ReportInput input{&result.spec, &result.analysis};
-  const std::vector<report::ReportInput> inputs{input};
-  out += report::full_report(inputs);
-  return out;
+  SubprocessTransport transport(config);
+  return run_jobs(config, transport);
 }
 
 }  // namespace entrace::orchestrate

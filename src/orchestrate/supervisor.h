@@ -1,114 +1,46 @@
-// Fault-tolerant shard orchestration: partition a dataset's traces into M
-// jobs, dispatch them to N entrace_shard worker subprocesses, and fold the
-// .esnap results into a DatasetAnalysis — with real failure handling end
-// to end.
+// Subprocess dispatch: the job scheduler (scheduler.h) carrying each
+// attempt to an entrace_shard worker process.
 //
-// Job state machine:
+// An attempt spawns `entrace_shard <work_dir>/job_<i>.esnap <dataset>
+// <scale> --traces lo:hi --threads N --resume`, waits up to the attempt
+// deadline, and SIGKILLs a worker still running past it (timeout-kill).
+// A nonzero exit or an unexpected signal is a crash; an exit 0 delivers
+// the snapshot file, which the scheduler then validates like any other
+// untrusted input.
 //
-//   pending ──launch──> running ──ok──────────────> done
-//      ^                   │
-//      │                   ├─ crash / timeout-kill / truncated snapshot /
-//      │                   │  CRC-validation reject / wrong trace range
-//      │                   v
-//      └──backoff──── retrying ──budget exhausted──> failed
-//
-// Every attempt's outcome is classified into the WorkerFault taxonomy
-// (fault.h) and counted; retries wait out a seeded-jitter exponential
-// backoff (util/retry.h).  A worker's output is never trusted: exit 0
-// means nothing until the snapshot decodes, CRC-checks, and covers the
-// exact trace range the job asked for (the untrusted-input reader built
-// for this trust boundary).  Snapshots are decoded incrementally as
-// workers deliver them; the final fold runs in trace-index order, so for
-// any fault schedule in which every job eventually succeeds the merged
-// report is byte-identical to a direct single-process run.
-//
-// Graceful degradation: a job that exhausts its attempt budget is marked
-// failed and the run *completes* — the result carries a coverage manifest
-// naming exactly the missing trace indices, and render_report() brands the
-// output PARTIAL instead of letting the whole run die.
+// Injected faults this transport performs: crash and hang are handed to
+// the worker as `entrace_shard --inject-fault` (die mid-write / stall until
+// the deadline); truncate and corrupt are byte surgery on the delivered
+// file after a clean exit.  refuse and disconnect are network faults and a
+// configuration error here.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "core/analyzer.h"
-#include "obs/metrics.h"
-#include "orchestrate/coverage.h"
-#include "orchestrate/fault.h"
-#include "synth/dataset_spec.h"
-#include "util/retry.h"
+#include "orchestrate/scheduler.h"
 
 namespace entrace::orchestrate {
 
-enum class JobState : std::uint8_t { kPending, kRunning, kRetrying, kDone, kFailed };
-
-const char* to_string(JobState state);
-
-struct OrchestratorConfig {
-  std::string dataset = "D0";
-  double scale = 0.01;
-  // Trace-range partitions.  0 = one job per worker.  Clamped to the trace
-  // count (a job always covers at least one trace).
-  std::size_t jobs = 0;
+struct OrchestratorConfig : DispatchConfig {
   // Concurrent worker subprocesses.
   std::size_t workers = 2;
-  // --threads handed to each worker (0 = the worker's auto default).
-  std::size_t shard_threads = 1;
-  // Per-job attempt budget + backoff schedule.
-  util::RetryPolicy retry;
   // Wall-clock deadline per attempt; a worker still running past it is
   // SIGKILLed and the attempt classified kTimeoutKill.
   double attempt_deadline = 120.0;
-  // Deterministic fault-injection harness (off by default).
-  FaultInjection inject;
   // Path to the entrace_shard binary (required).
   std::string shard_binary;
   // Directory for the per-job .esnap files (required; created if absent).
   std::string work_dir;
   // Keep the per-job .esnap files after the fold (default: delete them).
   bool keep_files = false;
-  // nullptr = a real monotonic clock.  Tests inject util::FakeClock.
-  util::Clock* clock = nullptr;
-  // Orchestration telemetry (timing class: attempts, retries, kills,
-  // backoff seconds, faults by kind, jobs by terminal state).  Optional.
-  obs::Registry* metrics = nullptr;
-  // Per-event progress lines on stderr.
-  bool verbose = false;
 };
 
-// Terminal record of one job.
-struct JobOutcome {
-  std::size_t index = 0;
-  std::size_t lo = 0, hi = 0;  // trace range [lo, hi)
-  JobState state = JobState::kPending;
-  int attempts = 0;                 // launches, including the successful one
-  std::vector<WorkerFault> faults;  // one entry per failed attempt
-};
-
-struct OrchestrateResult {
-  // True iff every job reached kDone (the manifest is then empty).
-  bool complete = false;
-  CoverageManifest manifest;
-  std::vector<JobOutcome> jobs;
-  WorkerFaultCounts fault_counts;  // across all attempts of all jobs
-  std::uint64_t attempts = 0;
-  std::uint64_t retries = 0;
-  // Folded from every shard that was delivered and validated; covers only
-  // the manifest's non-missing traces when the run is partial.
-  DatasetAnalysis analysis;
-  std::size_t shards_folded = 0;
-  DatasetSpec spec;  // report rendering needs the spec the run used
-};
-
-// Run the supervision loop to completion.  Throws std::runtime_error only
-// for configuration errors (missing worker binary, uncreatable work dir,
-// empty dataset); worker failures never throw — they end in the manifest.
+// Run every job to completion over worker subprocesses.  Throws
+// std::runtime_error only for configuration errors (missing worker binary,
+// uncreatable work dir, empty dataset, a network fault kind in `inject`);
+// worker failures never throw — they end in the manifest.  The
+// orchestrate.* metrics add `orchestrate.kills` (workers SIGKILLed at the
+// deadline).
 OrchestrateResult orchestrate(const OrchestratorConfig& config);
-
-// The run's report: byte-identical to enterprise_report / entrace_merge
-// output when complete; prefixed with the PARTIAL banner and the coverage
-// manifest when not.
-std::string render_report(const OrchestrateResult& result);
 
 }  // namespace entrace::orchestrate

@@ -40,7 +40,7 @@ NfsSizes nfs_sizes(Rng& rng, std::uint32_t proc, bool failed) {
   // write requests and read replies, which sit at the 8 KB transfer size.
   switch (proc) {
     case nfsproc::kRead:
-      return {64 + rng.uniform_int(0, 32), failed ? 24 : 8192};
+      return {64 + rng.uniform_int(0, 32), failed ? 24u : 8192u};
     case nfsproc::kWrite:
       return {8192, failed ? 24u : 96u + static_cast<std::size_t>(rng.uniform_int(0, 32))};
     case nfsproc::kLookup:

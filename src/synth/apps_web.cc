@@ -146,7 +146,6 @@ void scanner_session(GenContext& ctx, double start) {
 
 void inbound_web_session(GenContext& ctx, double start) {
   // WAN clients fetching from the site's public web servers.
-  Rng& rng = ctx.rng();
   const HostRef client = ctx.external();
   const HostRef server = EnterpriseModel::ref(ctx.model().subnet(ctx.subnet()).host(5));
   browse_session(ctx, start, client, server, true, "Mozilla/4.0 (compatible; Visitor)");

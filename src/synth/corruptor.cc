@@ -195,7 +195,10 @@ CorruptionSummary corrupt_trace(Trace& trace, const CorruptionConfig& config, Rn
     const auto drawn = static_cast<FaultKind>(
         rng.weighted(std::span<const double>(config.weights.data(), config.weights.size())));
     const FaultKind applied = apply_fault(out, i, drawn, rng);
-    ++summary.applied[static_cast<std::size_t>(applied)];
+    // apply_fault never returns kCount, but say so: the tally is indexed by
+    // the result.
+    const auto slot = static_cast<std::size_t>(applied);
+    if (slot < kFaultKindCount) ++summary.applied[slot];
     switch (applied) {
       case FaultKind::kDrop:
         break;  // next packet moved into slot i

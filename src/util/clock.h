@@ -1,6 +1,5 @@
 // Clock abstraction shared by everything that schedules against wall time:
-// retry/backoff supervision (util/retry.h), paced trace replay
-// (pcap/replay.h) and the entrace_daemon event loop.
+// paced trace replay (pcap/replay.h) and the entrace_daemon event loop.
 //
 // Code that takes a Clock& is testable without sleeping: FakeClock::sleep
 // advances a counter instantly, so pacing and timeout schedules can be

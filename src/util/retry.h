@@ -1,20 +1,17 @@
 // Retry scheduling for supervised workers: a seeded-jitter exponential
-// backoff policy against the util/clock.h abstraction, which makes
-// supervision code testable without sleeping.
+// backoff policy with a per-job attempt budget.
 //
 // The policy is a pure function of (seed, job, attempt): the delay before
 // retrying job J after its A-th failed attempt is the same on every run and
 // on every machine, which keeps orchestrated runs reproducible — a property
 // the rest of the pipeline (dataset generation, fault injection, shard
-// folds) already guarantees, and which the supervisor's determinism
+// folds) already guarantees, and which the scheduler's determinism
 // contract depends on.  Jitter is still real jitter *across jobs*: each
 // (job, attempt) pair draws from its own forked Rng stream, so a fleet of
 // failed workers does not retry in lockstep.
 #pragma once
 
 #include <cstdint>
-
-#include "util/clock.h"
 
 namespace entrace::util {
 

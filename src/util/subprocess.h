@@ -3,12 +3,12 @@
 //
 // This is the process-level analogue of ThreadPool: the orchestration layer
 // (src/orchestrate) dispatches entrace_shard workers through it and needs
-// exactly three things a popen()-style API does not give — non-blocking
-// status polls so one supervisor thread can multiplex N children, the
-// distinction between "exited with code" and "died on signal" (a crashed
-// worker and a deadline kill are different faults), and a kill that cannot
-// leak a zombie.  stdout/stderr are inherited; workers talk to the
-// supervisor through files (.esnap snapshots), not pipes.
+// exactly three things a popen()-style API does not give — a bounded wait
+// that leaves a still-running child alive, the distinction between "exited
+// with code" and "died on signal" (a crashed worker and a deadline kill are
+// different faults), and a kill that cannot leak a zombie.  stdout/stderr
+// are inherited; workers talk to the scheduler through files (.esnap
+// snapshots), not pipes.
 #pragma once
 
 #include <optional>

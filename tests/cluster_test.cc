@@ -6,17 +6,20 @@
 //   codec      every message round-trips through FrameDecoder regardless of
 //              how the byte stream is fragmented (byte-at-a-time, odd chunk
 //              sizes), and structural damage — bad magic, unknown type,
-//              hostile length, flipped payload bit — is a ProtocolError at a
-//              named offset, never undefined behavior.  A seeded byte-flip
+//              hostile length, flipped payload bit, an injected-fault byte
+//              the worker cannot act on — is a ProtocolError at a named
+//              offset, never undefined behavior.  A seeded byte-flip
 //              fuzz asserts no single-byte corruption ever yields the
 //              original frame sequence silently.
 //
-//   dispatch   run_cluster over loopback workers produces a report
-//              byte-identical to a direct single-process run: clean, per
-//              injected network-fault kind (refuse / disconnect / corrupt
-//              frame / hang), and under a mixed fault schedule — while an
-//              exhausted retry budget degrades to the CoverageManifest +
-//              PARTIAL banner, never a crash or a torn fold.
+//   dispatch   run_cluster (the job scheduler over the TCP transport) on
+//              loopback workers produces a report byte-identical to a
+//              direct single-process run: clean, per injected network-fault
+//              kind (refuse / disconnect / corrupt frame / hang), and under
+//              a mixed fault schedule — while an exhausted retry budget
+//              degrades to the CoverageManifest + PARTIAL banner, never a
+//              crash or a torn fold, and a process-only fault kind is a
+//              configuration error.
 //
 //   http       the observability server survives hostile clients: oversized
 //              request lines answer 400, empty connections and mid-request
@@ -37,13 +40,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/coordinator.h"
-#include "cluster/fault.h"
 #include "cluster/protocol.h"
 #include "cluster/worker.h"
 #include "core/analyzer.h"
@@ -51,6 +54,7 @@
 #include "core/report.h"
 #include "obs/http_server.h"
 #include "obs/metrics.h"
+#include "orchestrate/fault.h"
 #include "pcap/replay.h"
 #include "snapshot/reader.h"
 #include "snapshot/window.h"
@@ -67,8 +71,8 @@ namespace fs = std::filesystem;
 using cluster::Frame;
 using cluster::FrameDecoder;
 using cluster::MsgType;
-using cluster::NetInjectedFault;
 using cluster::ProtocolError;
+using orchestrate::InjectedFault;
 
 // ---- codec: fragmentation invariance ----------------------------------------
 
@@ -83,7 +87,7 @@ cluster::JobMsg sample_job() {
   job.hi = 11;
   job.threads = 2;
   job.heartbeat_interval_ms = 100;
-  job.injected_fault = static_cast<std::uint8_t>(NetInjectedFault::kDisconnectInject);
+  job.injected_fault = static_cast<std::uint8_t>(InjectedFault::kDisconnectInject);
   return job;
 }
 
@@ -138,7 +142,7 @@ TEST(ClusterCodecTest, EveryMessageRoundTripsByteAtATime) {
   EXPECT_EQ(job.hi, 11u);
   EXPECT_EQ(job.threads, 2u);
   EXPECT_EQ(job.heartbeat_interval_ms, 100u);
-  EXPECT_EQ(job.injected_fault, static_cast<std::uint8_t>(NetInjectedFault::kDisconnectInject));
+  EXPECT_EQ(job.injected_fault, static_cast<std::uint8_t>(InjectedFault::kDisconnectInject));
   EXPECT_EQ(cluster::HeartbeatMsg::decode(frames[2]).job_id, 42u);
   const cluster::SnapshotChunkMsg rt = cluster::SnapshotChunkMsg::decode(frames[3]);
   EXPECT_EQ(rt.offset, chunk.offset);
@@ -214,6 +218,28 @@ TEST(ClusterCodecTest, StructuralDamageIsAProtocolErrorAtAnOffset) {
     FrameDecoder d;
     d.feed(bytes.data(), bytes.size());
     EXPECT_THROW(d.next(), ProtocolError);
+  }
+  {  // an injected-fault byte the worker cannot act on, at its offset
+    for (const std::uint8_t fault :
+         {static_cast<std::uint8_t>(InjectedFault::kRefuseInject),
+          static_cast<std::uint8_t>(InjectedFault::kCrashInject),
+          static_cast<std::uint8_t>(InjectedFault::kTruncateInject),
+          static_cast<std::uint8_t>(InjectedFault::kCount), std::uint8_t{0xff}}) {
+      cluster::JobMsg job = sample_job();
+      job.injected_fault = fault;
+      const auto bytes = job.encode();
+      FrameDecoder d;
+      d.feed(bytes.data(), bytes.size());
+      const std::optional<Frame> frame = d.next();
+      ASSERT_TRUE(frame.has_value()) << "framing is intact; only the payload is wrong";
+      try {
+        cluster::JobMsg::decode(*frame);
+        FAIL() << "JOB with injected_fault " << int{fault} << " decoded";
+      } catch (const ProtocolError& e) {
+        EXPECT_EQ(e.offset(), frame->payload.size() - 1) << "the byte is the payload's last";
+        EXPECT_NE(std::string(e.what()).find("injected_fault"), std::string::npos) << e.what();
+      }
+    }
   }
   {  // the error names where in the stream the damage sits
     auto bytes = good;
@@ -336,9 +362,9 @@ TEST(ClusterCodecTest, SnapshotSurvivesArbitraryChunkSlicing) {
 // ---- fault harness + endpoint parsing ---------------------------------------
 
 TEST(NetFaultInjectionTest, ParsesSpecStrings) {
-  cluster::NetFaultInjection inject;
+  orchestrate::FaultInjection inject;
   std::string error;
-  EXPECT_TRUE(cluster::parse_net_inject_spec("refuse=0.1,disconnect=0.2,corrupt=0.05,hang=0.01",
+  EXPECT_TRUE(orchestrate::parse_inject_spec("refuse=0.1,disconnect=0.2,corrupt=0.05,hang=0.01",
                                              inject, &error));
   EXPECT_EQ(inject.refuse, 0.1);
   EXPECT_EQ(inject.disconnect, 0.2);
@@ -346,25 +372,25 @@ TEST(NetFaultInjectionTest, ParsesSpecStrings) {
   EXPECT_EQ(inject.hang, 0.01);
   EXPECT_TRUE(inject.any());
 
-  cluster::NetFaultInjection bad;
-  EXPECT_FALSE(cluster::parse_net_inject_spec("explode=0.5", bad, &error));
+  orchestrate::FaultInjection bad;
+  EXPECT_FALSE(orchestrate::parse_inject_spec("explode=0.5", bad, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(cluster::parse_net_inject_spec("refuse=1.5", bad, &error));
-  EXPECT_FALSE(cluster::parse_net_inject_spec("refuse", bad, &error));
+  EXPECT_FALSE(orchestrate::parse_inject_spec("refuse=1.5", bad, &error));
+  EXPECT_FALSE(orchestrate::parse_inject_spec("refuse", bad, &error));
   EXPECT_FALSE(bad.any());
 }
 
 TEST(NetFaultInjectionTest, DrawIsSeededPerJobAttemptAndBounded) {
-  cluster::NetFaultInjection f;
+  orchestrate::FaultInjection f;
   f.refuse = 1.0;
-  EXPECT_EQ(f.draw(0, 1), NetInjectedFault::kRefuseInject);
-  EXPECT_EQ(f.draw(9, 4), NetInjectedFault::kRefuseInject);
+  EXPECT_EQ(f.draw(0, 1), InjectedFault::kRefuseInject);
+  EXPECT_EQ(f.draw(9, 4), InjectedFault::kRefuseInject);
 
   f.attempt_limit = 1;  // only the first attempt of each job faults
-  EXPECT_EQ(f.draw(0, 1), NetInjectedFault::kRefuseInject);
-  EXPECT_EQ(f.draw(0, 2), NetInjectedFault::kNoInject);
+  EXPECT_EQ(f.draw(0, 1), InjectedFault::kRefuseInject);
+  EXPECT_EQ(f.draw(0, 2), InjectedFault::kNoInject);
 
-  cluster::NetFaultInjection mixed;
+  orchestrate::FaultInjection mixed;
   mixed.refuse = mixed.disconnect = mixed.corrupt = mixed.hang = 0.25;
   mixed.seed = 42;
   for (std::uint64_t job = 0; job < 16; ++job) {
@@ -375,15 +401,17 @@ TEST(NetFaultInjectionTest, DrawIsSeededPerJobAttemptAndBounded) {
 
 TEST(NetFaultInjectionTest, ExpectedFaultMapsIntoTheWorkerTaxonomy) {
   using orchestrate::WorkerFault;
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kNoInject), WorkerFault::kNone);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kRefuseInject),
-            WorkerFault::kConnectRefused);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kDisconnectInject),
-            WorkerFault::kDisconnect);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kCorruptFrameInject),
-            WorkerFault::kCorruptFrame);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kHangInject),
-            WorkerFault::kHeartbeatTimeout);
+  const auto tcp = [](InjectedFault f) {
+    return orchestrate::expected_fault(f, orchestrate::TransportKind::kTcp);
+  };
+  EXPECT_EQ(tcp(InjectedFault::kNoInject), WorkerFault::kNone);
+  EXPECT_EQ(tcp(InjectedFault::kRefuseInject), WorkerFault::kConnectRefused);
+  EXPECT_EQ(tcp(InjectedFault::kDisconnectInject), WorkerFault::kDisconnect);
+  EXPECT_EQ(tcp(InjectedFault::kCorruptInject), WorkerFault::kCorruptFrame);
+  EXPECT_EQ(tcp(InjectedFault::kHangInject), WorkerFault::kHeartbeatTimeout);
+  // Process faults have no network form: a TCP run rejects them.
+  EXPECT_EQ(tcp(InjectedFault::kCrashInject), WorkerFault::kNone);
+  EXPECT_EQ(tcp(InjectedFault::kTruncateInject), WorkerFault::kNone);
 }
 
 TEST(ClusterConfigTest, ParsesEndpointLists) {
@@ -495,17 +523,17 @@ TEST_F(ClusterTest, CleanRunMatchesDirectReport) {
 TEST_F(ClusterTest, EveryNetworkFaultKindIsRecoveredByRetry) {
   struct Case {
     const char* name;
-    void (*arm)(cluster::NetFaultInjection&);
+    void (*arm)(orchestrate::FaultInjection&);
     orchestrate::WorkerFault expected;
   };
   const Case cases[] = {
-      {"refuse", [](cluster::NetFaultInjection& f) { f.refuse = 1.0; },
+      {"refuse", [](orchestrate::FaultInjection& f) { f.refuse = 1.0; },
        orchestrate::WorkerFault::kConnectRefused},
-      {"disconnect", [](cluster::NetFaultInjection& f) { f.disconnect = 1.0; },
+      {"disconnect", [](orchestrate::FaultInjection& f) { f.disconnect = 1.0; },
        orchestrate::WorkerFault::kDisconnect},
-      {"corrupt", [](cluster::NetFaultInjection& f) { f.corrupt = 1.0; },
+      {"corrupt", [](orchestrate::FaultInjection& f) { f.corrupt = 1.0; },
        orchestrate::WorkerFault::kCorruptFrame},
-      {"hang", [](cluster::NetFaultInjection& f) { f.hang = 1.0; },
+      {"hang", [](orchestrate::FaultInjection& f) { f.hang = 1.0; },
        orchestrate::WorkerFault::kHeartbeatTimeout},
   };
   for (const Case& c : cases) {
@@ -575,6 +603,19 @@ TEST_F(ClusterTest, ExhaustedBudgetDegradesToAccurateManifest) {
   const std::string report = orchestrate::render_report(result);
   EXPECT_NE(report.find("PARTIAL RESULTS"), std::string::npos);
   EXPECT_NE(report.find("Coverage manifest"), std::string::npos);
+}
+
+TEST_F(ClusterTest, ProcessFaultKindsAreAConfigError) {
+  for (const char* spec : {"crash=0.2", "truncate=0.2"}) {
+    SCOPED_TRACE(spec);
+    cluster::ClusterConfig config;
+    config.dataset = "D0";
+    config.scale = kFaultScale;
+    config.endpoints = {"127.0.0.1:1"};  // never dialed: rejected first
+    std::string error;
+    ASSERT_TRUE(orchestrate::parse_inject_spec(spec, config.inject, &error)) << error;
+    EXPECT_THROW(cluster::run_cluster(config), std::runtime_error);
+  }
 }
 
 TEST_F(ClusterTest, WorkerBinaryServesACoordinator) {

@@ -3,11 +3,13 @@
 //
 // The layer's contract, pinned down here:
 //   1. Retry policy: attempt budgets and seeded-jitter exponential backoff
-//      are pure functions of (seed, job, attempt) — unit-tested with a
-//      FakeClock, no sleeping.
+//      are pure functions of (seed, job, attempt).  The job scheduler's
+//      state machine, backoff, manifest and slot clamp run against an
+//      in-process fake transport — no processes, no sockets.
 //   2. Supervision: every injected worker fault kind (crash, hang,
 //      truncated snapshot, CRC reject) is classified correctly and
-//      recovered by retry.
+//      recovered by retry; kinds the transport cannot perform are a
+//      configuration error, at the API and at the CLI.
 //   3. Determinism: for any fault schedule in which every job eventually
 //      succeeds, the orchestrated report is byte-identical to a direct
 //      single-process run — at 1 worker and at 4.
@@ -18,10 +20,14 @@
 //      rename); an abandoned writer leaves no final file behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,10 +35,12 @@
 #include "core/report.h"
 #include "obs/exposition.h"
 #include "orchestrate/fault.h"
+#include "orchestrate/scheduler.h"
 #include "orchestrate/supervisor.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
 #include "synth/synth_source.h"
+#include "util/clock.h"
 #include "util/retry.h"
 #include "util/subprocess.h"
 
@@ -152,6 +160,93 @@ TEST(FaultInjectionTest, ParsesSpecStrings) {
   EXPECT_FALSE(orchestrate::parse_inject_spec("explode=0.5", subset, &error));
   EXPECT_FALSE(orchestrate::parse_inject_spec("crash=1.5", subset, &error));
   EXPECT_FALSE(orchestrate::parse_inject_spec("crash", subset, &error));
+  EXPECT_FALSE(orchestrate::parse_inject_spec("crash=nan", subset, &error));
+
+  // One spec names every kind; which transport may perform them is the
+  // scheduler's check, not the parser's.
+  FaultInjection all;
+  ASSERT_TRUE(orchestrate::parse_inject_spec(
+      "crash=0.1,hang=0.2,truncate=0.3,corrupt=0.4,refuse=0.5,disconnect=0.6", all, &error))
+      << error;
+  EXPECT_DOUBLE_EQ(all.probability(InjectedFault::kCrashInject), 0.1);
+  EXPECT_DOUBLE_EQ(all.probability(InjectedFault::kHangInject), 0.2);
+  EXPECT_DOUBLE_EQ(all.probability(InjectedFault::kTruncateInject), 0.3);
+  EXPECT_DOUBLE_EQ(all.probability(InjectedFault::kCorruptInject), 0.4);
+  EXPECT_DOUBLE_EQ(all.refuse, 0.5);
+  EXPECT_DOUBLE_EQ(all.disconnect, 0.6);
+  EXPECT_DOUBLE_EQ(all.probability(InjectedFault::kNoInject), 0.0);
+}
+
+// The unified draw() evaluates kinds in InjectedFault order (refuse,
+// disconnect, corrupt, hang, crash, truncate).  Every schedule that uses
+// only the TCP kinds must equal the one the network-only harness drew
+// before the two harnesses merged: these strings were generated with it.
+// Each group is one job; each digit is the InjectedFault wire byte of
+// attempts 1, 2, ... of that job.
+TEST(FaultInjectionTest, TcpKindSchedulesArePinned) {
+  const auto schedule = [](const FaultInjection& f, int jobs, int attempts) {
+    std::string out;
+    for (int job = 0; job < jobs; ++job) {
+      if (job > 0) out += ' ';
+      for (int a = 1; a <= attempts; ++a) {
+        out += static_cast<char>('0' + static_cast<int>(f.draw(static_cast<std::uint64_t>(job), a)));
+      }
+    }
+    return out;
+  };
+
+  // The cluster suite's mixed schedule.
+  FaultInjection mixed;
+  mixed.refuse = mixed.disconnect = mixed.corrupt = 0.2;
+  mixed.hang = 0.1;
+  mixed.seed = 3;
+  EXPECT_EQ(schedule(mixed, 4, 8), "10402020 20002002 23003304 00000023");
+
+  // The fleet benchmark's shape: 5% each of refuse/disconnect/corrupt on
+  // the first two attempts of 8 jobs.
+  const std::pair<std::uint64_t, const char*> fleet[] = {
+      {1, "000 000 020 010 120 300 000 110"},
+      {2, "000 000 000 000 100 000 030 010"},
+      {7, "010 000 000 100 000 000 000 010"},
+      {12345, "000 300 010 000 000 000 000 300"},
+  };
+  for (const auto& [seed, expected] : fleet) {
+    FaultInjection f;
+    f.refuse = f.disconnect = f.corrupt = 0.05;
+    f.attempt_limit = 2;
+    f.seed = seed;
+    EXPECT_EQ(schedule(f, 8, 3), expected) << "seed " << seed;
+  }
+
+  FaultInjection even;
+  even.refuse = even.disconnect = even.corrupt = even.hang = 0.25;
+  even.seed = 42;
+  EXPECT_EQ(schedule(even, 16, 4),
+            "0132 2110 1002 1144 0132 1201 0000 1413 2110 3210 1022 0013 0301 1112 0132 1133");
+}
+
+// One table says which transport performs which kind, and as what fault.
+TEST(FaultInjectionTest, ExpectedFaultTableCoversBothTransports) {
+  using orchestrate::TransportKind;
+  struct Row {
+    InjectedFault kind;
+    WorkerFault subprocess;
+    WorkerFault tcp;
+  };
+  const Row rows[] = {
+      {InjectedFault::kNoInject, WorkerFault::kNone, WorkerFault::kNone},
+      {InjectedFault::kRefuseInject, WorkerFault::kNone, WorkerFault::kConnectRefused},
+      {InjectedFault::kDisconnectInject, WorkerFault::kNone, WorkerFault::kDisconnect},
+      {InjectedFault::kCorruptInject, WorkerFault::kSnapshotRejected, WorkerFault::kCorruptFrame},
+      {InjectedFault::kHangInject, WorkerFault::kTimeoutKill, WorkerFault::kHeartbeatTimeout},
+      {InjectedFault::kCrashInject, WorkerFault::kCrash, WorkerFault::kNone},
+      {InjectedFault::kTruncateInject, WorkerFault::kTruncatedSnapshot, WorkerFault::kNone},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(orchestrate::to_string(row.kind));
+    EXPECT_EQ(orchestrate::expected_fault(row.kind, TransportKind::kSubprocess), row.subprocess);
+    EXPECT_EQ(orchestrate::expected_fault(row.kind, TransportKind::kTcp), row.tcp);
+  }
 }
 
 TEST(FaultInjectionTest, DrawIsSeededPerJobAttempt) {
@@ -170,6 +265,209 @@ TEST(FaultInjectionTest, DrawIsSeededPerJobAttempt) {
   mixed.seed = 42;
   for (std::uint64_t job = 0; job < 8; ++job) {
     EXPECT_EQ(mixed.draw(job, 1), mixed.draw(job, 1)) << "job " << job;
+  }
+}
+
+// ------------------------------------------------------------ scheduler --
+//
+// The scheduler's state machine against an in-process transport: no
+// processes, no sockets.  The fake performs whatever fault the scheduler
+// drew, classified as the subprocess transport would, and otherwise
+// delivers a valid snapshot of empty shards for the job's range.
+
+class FakeTransport final : public orchestrate::Transport {
+ public:
+  explicit FakeTransport(std::size_t slots) : slots_(slots) {}
+
+  orchestrate::TransportKind kind() const override {
+    return orchestrate::TransportKind::kSubprocess;
+  }
+  std::size_t slots() const override { return slots_; }
+  void prepare(const snap::SnapshotMeta& meta, std::size_t jobs) override {
+    meta_ = meta;
+    prepared_jobs = jobs;
+  }
+
+  orchestrate::Delivery run(std::size_t slot, const orchestrate::Attempt& attempt) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      max_slot = std::max(max_slot, slot);
+      log.push_back({attempt, std::chrono::steady_clock::now()});
+    }
+    orchestrate::Delivery delivery;
+    delivery.fault =
+        orchestrate::expected_fault(attempt.injected, orchestrate::TransportKind::kSubprocess);
+    if (delivery.fault != WorkerFault::kNone) return delivery;
+    std::ostringstream out(std::ios::binary);
+    snap::SnapshotWriter writer(out, meta_);
+    // A misdelivery leaves the range's last trace out.
+    const bool misdeliver = attempt.job == misdeliver_job && attempt.number == 1;
+    for (std::size_t t = attempt.lo; t < attempt.hi - (misdeliver ? 1 : 0); ++t) {
+      writer.add_shard(static_cast<std::uint32_t>(t), TraceShard{});
+    }
+    writer.close();
+    const std::string bytes = std::move(out).str();
+    delivery.snapshot.assign(bytes.begin(), bytes.end());
+    return delivery;
+  }
+
+  struct Entry {
+    orchestrate::Attempt attempt;
+    std::chrono::steady_clock::time_point at;
+  };
+  std::size_t misdeliver_job = SIZE_MAX;
+  std::size_t prepared_jobs = 0;
+  std::size_t max_slot = 0;
+  std::vector<Entry> log;
+
+ private:
+  std::size_t slots_;
+  snap::SnapshotMeta meta_;
+  std::mutex mu_;
+};
+
+orchestrate::DispatchConfig fake_config() {
+  orchestrate::DispatchConfig config;
+  config.dataset = "D0";
+  config.scale = 0.004;  // 22 traces
+  config.retry.base_delay = 0.01;
+  config.retry.jitter = 0.0;
+  return config;
+}
+
+TEST(SchedulerTest, FaultedAttemptsRetryAfterBackoffUntilDone) {
+  obs::Registry metrics;
+  orchestrate::DispatchConfig config = fake_config();
+  config.jobs = 4;
+  config.inject.crash = 1.0;
+  config.inject.attempt_limit = 1;  // every first attempt crashes
+  config.metrics = &metrics;
+  FakeTransport transport(2);
+  const orchestrate::OrchestrateResult result = orchestrate::run_jobs(config, transport);
+
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(transport.prepared_jobs, 4u);
+  EXPECT_EQ(result.shards_folded, 22u);
+  EXPECT_EQ(result.attempts, 8u);
+  EXPECT_EQ(result.retries, 4u);
+  EXPECT_EQ(result.fault_counts[WorkerFault::kCrash], 4u);
+  EXPECT_EQ(result.fault_counts.total_faults(), 4u);
+  for (const orchestrate::JobOutcome& job : result.jobs) {
+    EXPECT_EQ(job.state, orchestrate::JobState::kDone);
+    EXPECT_EQ(job.attempts, 2);
+    EXPECT_EQ(job.faults, std::vector<WorkerFault>{WorkerFault::kCrash});
+    EXPECT_EQ(job.lo, 22 * job.index / 4);
+    EXPECT_EQ(job.hi, 22 * (job.index + 1) / 4);
+  }
+
+  // A retry waits out its backoff (0.01 s with jitter off).
+  ASSERT_EQ(transport.log.size(), 8u);
+  for (std::size_t job = 0; job < 4; ++job) {
+    std::chrono::steady_clock::time_point first, second;
+    for (const FakeTransport::Entry& e : transport.log) {
+      if (e.attempt.job != job) continue;
+      (e.attempt.number == 1 ? first : second) = e.at;
+    }
+    EXPECT_GE(std::chrono::duration<double>(second - first).count(), 0.01) << "job " << job;
+  }
+
+  using obs::MetricClass;
+  EXPECT_EQ(metrics.counter("orchestrate.attempts", MetricClass::kTiming)->value(), 8u);
+  EXPECT_EQ(metrics.counter("orchestrate.retries", MetricClass::kTiming)->value(), 4u);
+  EXPECT_EQ(metrics.counter("orchestrate.jobs.done", MetricClass::kTiming)->value(), 4u);
+  EXPECT_EQ(metrics.counter("orchestrate.jobs.failed", MetricClass::kTiming)->value(), 0u);
+  EXPECT_EQ(metrics.counter("orchestrate.fault.crash", MetricClass::kTiming)->value(), 4u);
+  EXPECT_DOUBLE_EQ(metrics.gauge("orchestrate.backoff.seconds", MetricClass::kTiming)->value(),
+                   0.04);
+}
+
+TEST(SchedulerTest, MisdeliveredRangeIsRejectedAndRetried) {
+  orchestrate::DispatchConfig config = fake_config();
+  config.jobs = 4;
+  FakeTransport transport(4);
+  transport.misdeliver_job = 1;
+  const orchestrate::OrchestrateResult result = orchestrate::run_jobs(config, transport);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.fault_counts[WorkerFault::kWrongTraceRange], 1u);
+  EXPECT_EQ(result.jobs[1].faults, std::vector<WorkerFault>{WorkerFault::kWrongTraceRange});
+  EXPECT_EQ(result.jobs[1].attempts, 2);
+  EXPECT_EQ(result.shards_folded, 22u);
+}
+
+TEST(SchedulerTest, ExhaustedBudgetYieldsAPartialManifest) {
+  orchestrate::DispatchConfig config = fake_config();
+  config.jobs = 4;
+  config.retry.max_attempts = 2;
+  config.inject.hang = 0.7;
+  // A seed whose schedule exhausts some jobs' budgets and spares others
+  // (draw() is pure, so this scan is deterministic and instant).
+  const auto exhausted = [&](std::uint64_t job) {
+    return config.inject.draw(job, 1) != InjectedFault::kNoInject &&
+           config.inject.draw(job, 2) != InjectedFault::kNoInject;
+  };
+  std::vector<std::uint32_t> expected_missing;
+  for (std::uint64_t seed = 1; seed < 256 && expected_missing.empty(); ++seed) {
+    config.inject.seed = seed;
+    std::size_t failed = 0;
+    for (std::uint64_t job = 0; job < 4; ++job) failed += exhausted(job);
+    if (failed == 0 || failed == 4) continue;
+    for (std::uint64_t job = 0; job < 4; ++job) {
+      if (!exhausted(job)) continue;
+      for (std::size_t t = 22 * job / 4; t < 22 * (job + 1) / 4; ++t) {
+        expected_missing.push_back(static_cast<std::uint32_t>(t));
+      }
+    }
+  }
+  ASSERT_FALSE(expected_missing.empty());
+
+  FakeTransport transport(2);
+  const orchestrate::OrchestrateResult result = orchestrate::run_jobs(config, transport);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.manifest.missing, expected_missing);
+  EXPECT_EQ(result.shards_folded, 22u - expected_missing.size());
+  for (const orchestrate::JobOutcome& job : result.jobs) {
+    const bool failed = exhausted(job.index);
+    EXPECT_EQ(job.state, failed ? orchestrate::JobState::kFailed : orchestrate::JobState::kDone);
+    if (failed) {
+      EXPECT_EQ(job.attempts, 2);
+      EXPECT_EQ(job.faults, std::vector<WorkerFault>(2, WorkerFault::kTimeoutKill));
+    }
+  }
+  EXPECT_EQ(orchestrate::render_report(result).find("!!"), 0u)
+      << "partial report must lead with the banner";
+}
+
+TEST(SchedulerTest, SlotsAreClampedToTheJobCount) {
+  {
+    orchestrate::DispatchConfig config = fake_config();
+    config.jobs = 3;
+    FakeTransport transport(16);
+    const orchestrate::OrchestrateResult result = orchestrate::run_jobs(config, transport);
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.jobs.size(), 3u);
+    EXPECT_LT(transport.max_slot, 3u);
+  }
+  {
+    // jobs = 0 means one job per slot, and jobs never outnumber traces.
+    orchestrate::DispatchConfig config = fake_config();
+    FakeTransport transport(32);
+    const orchestrate::OrchestrateResult result = orchestrate::run_jobs(config, transport);
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.jobs.size(), 22u);
+    EXPECT_LT(transport.max_slot, 22u);
+  }
+}
+
+TEST(SchedulerTest, KindsTheTransportCannotPerformAreAConfigError) {
+  for (const char* spec : {"refuse=0.1", "disconnect=1"}) {
+    SCOPED_TRACE(spec);
+    orchestrate::DispatchConfig config = fake_config();
+    std::string error;
+    ASSERT_TRUE(orchestrate::parse_inject_spec(spec, config.inject, &error)) << error;
+    FakeTransport transport(2);
+    EXPECT_THROW(orchestrate::run_jobs(config, transport), std::runtime_error);
+    EXPECT_EQ(transport.prepared_jobs, 0u) << "rejected before any dispatch";
+    EXPECT_TRUE(transport.log.empty());
   }
 }
 
@@ -472,6 +770,64 @@ TEST_F(OrchestrateTest, RecordsOrchestrationMetrics) {
   EXPECT_EQ(metrics.counter("orchestrate.jobs.done", MetricClass::kTiming)->value(), 2u);
   EXPECT_EQ(metrics.counter("orchestrate.fault.crash", MetricClass::kTiming)->value(), 2u);
   EXPECT_GT(metrics.gauge("orchestrate.backoff.seconds", MetricClass::kTiming)->value(), 0.0);
+}
+
+TEST_F(OrchestrateTest, NetworkFaultKindsAreAConfigError) {
+  for (const char* spec : {"refuse=0.2", "disconnect=0.2"}) {
+    SCOPED_TRACE(spec);
+    orchestrate::OrchestratorConfig config = base_config("entrace_orch_reject");
+    std::string error;
+    ASSERT_TRUE(orchestrate::parse_inject_spec(spec, config.inject, &error)) << error;
+    EXPECT_THROW(orchestrate::orchestrate(config), std::runtime_error);
+  }
+}
+
+// Strict flag parsing in the dispatch tools: garbage, a sign, trailing
+// junk, or an out-of-range value exits 2 before anything is spawned, bound
+// or analyzed — as does an --inject kind the chosen mode cannot perform.
+TEST_F(OrchestrateTest, DispatchToolsRejectBadFlagValuesWithExit2) {
+  const auto exit_code = [](const std::vector<std::string>& argv) {
+    std::string command;
+    for (const std::string& arg : argv) command += "'" + arg + "' ";
+    command += ">/dev/null 2>&1";
+    auto p = util::Subprocess::spawn({"/bin/sh", "-c", command});
+    return p.wait().exit_code;
+  };
+  const std::string work = temp_path("entrace_orch_cli");
+  const std::vector<std::string> orchestrate = {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002",
+                                                "--work-dir", work};
+  for (const char* flag :
+       {"--jobs", "--workers", "--shard-threads", "--retries", "--deadline", "--backoff", "--seed",
+        "--cluster-workers", "--inject-attempts", "--hb-interval", "--hb-timeout"}) {
+    for (const char* value : {"x", "-1", "3x"}) {
+      std::vector<std::string> argv = orchestrate;
+      argv.insert(argv.end(), {flag, value});
+      EXPECT_EQ(exit_code(argv), 2) << flag << " " << value;
+    }
+  }
+  for (const char* value : {"x", "-1", "2x"}) {
+    EXPECT_EQ(exit_code({ENTRACE_SHARD_BIN, temp_path("entrace_orch_cli.esnap"), "D0", "0.002",
+                         "--threads", value}),
+              2)
+        << "--threads " << value;
+  }
+  for (const char* value : {"x", "-1", "70000", "80x"}) {
+    EXPECT_EQ(exit_code({ENTRACE_WORKER_BIN, "--port", value}), 2) << "--port " << value;
+  }
+
+  // Subprocess mode cannot refuse or disconnect; cluster mode cannot crash
+  // or truncate.  Both are rejected before any worker is contacted.
+  for (const char* spec : {"refuse=0.5", "disconnect=0.5"}) {
+    std::vector<std::string> argv = orchestrate;
+    argv.insert(argv.end(), {"--inject", spec});
+    EXPECT_EQ(exit_code(argv), 2) << spec;
+  }
+  for (const char* spec : {"crash=0.5", "truncate=0.5"}) {
+    std::vector<std::string> argv = orchestrate;
+    argv.insert(argv.end(), {"--cluster", "127.0.0.1:1", "--inject", spec});
+    EXPECT_EQ(exit_code(argv), 2) << spec;
+  }
+  std::filesystem::remove_all(work);
 }
 
 // The merge tool's partial mode, driven through the real binaries.

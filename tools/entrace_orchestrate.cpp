@@ -1,38 +1,31 @@
-// entrace_orchestrate: fault-tolerant front end over the entrace_shard /
-// entrace_merge pipeline.
+// entrace_orchestrate: fault-tolerant front end over the job scheduler
+// (src/orchestrate/scheduler.h).
 //
-// Partitions a dataset's traces into jobs, dispatches them to worker
-// subprocesses, and survives the ways workers actually fail: crashes,
-// hangs (deadline-killed), truncated snapshots, CRC rejects, and
-// wrong-range output all land in a retry loop with seeded-jitter
-// exponential backoff (src/orchestrate).  For any fault schedule in which
-// every job eventually succeeds, the report printed here is byte-identical
-// to a direct single-process run.  When a job exhausts its attempt budget
-// the run degrades gracefully instead of dying: with --allow-partial it
-// exits 0 and brands the report PARTIAL with a coverage manifest naming
-// the missing traces.
-//
-// --inject drives the built-in deterministic fault harness (per-attempt
-// probabilities, seeded per job attempt) — the same knob the orchestrate
-// test suite and bench study use:
+// Partitions a dataset's traces into jobs and dispatches them to
+// entrace_shard subprocesses, or with --cluster / --cluster-workers to
+// entrace_worker TCP endpoints.  Worker failures land in a retry loop with
+// seeded-jitter backoff; for any fault schedule in which every job
+// eventually succeeds, the report printed here is byte-identical to a
+// direct single-process run.  A job that exhausts its attempt budget
+// leaves a PARTIAL report with a coverage manifest (exit 1, or 0 with
+// --allow-partial).  --inject drives the deterministic fault harness;
+// naming a kind the chosen mode cannot perform (refuse/disconnect without
+// --cluster, crash/truncate with it) exits 2:
 //
 //   $ entrace_orchestrate D0 0.01 --workers 4 --retries 3 ..
 //       --inject crash=0.2,hang=0.05,truncate=0.1,corrupt=0.1 > report.txt
 //
-// --cluster switches from subprocess workers to network workers
-// (src/cluster): jobs are dispatched over TCP to entrace_worker endpoints
-// and the .esnap bytes stream back in CRC-framed chunks, with the same
-// retry/fault/partial semantics.  --cluster-workers spawns N loopback
-// workers locally (tests, bench) and tears them down afterwards:
-//
 //   $ entrace_orchestrate D0 0.01 --cluster-workers 2 ..
-//       --net-inject refuse=0.1,disconnect=0.1 > report.txt
+//       --inject refuse=0.1,disconnect=0.1 > report.txt
 //   $ entrace_orchestrate D0 0.01 --cluster 10.0.0.5:7461,10.0.0.6:7461
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,7 +51,9 @@ int usage(const char* argv0) {
       "  [--deadline S]        per-attempt wall-clock deadline, seconds (default 120)\n"
       "  [--backoff S]         base retry delay, seconds (default 0.05)\n"
       "  [--seed S]            fault-injection + backoff-jitter seed (default 1)\n"
-      "  [--inject SPEC]       crash=P,hang=P,truncate=P,corrupt=P per-attempt faults\n"
+      "  [--inject SPEC]       per-attempt fault probabilities, KIND=P,...: crash, hang,\n"
+      "                        truncate, corrupt (subprocess); refuse, disconnect,\n"
+      "                        corrupt, hang (cluster)\n"
       "  [--inject-attempts N] inject only into each job's first N attempts\n"
       "  [--allow-partial]     exit 0 with a PARTIAL report when jobs exhaust retries\n"
       "  [--work-dir DIR]      where per-job .esnap files live (default: ./orchestrate.work)\n"
@@ -70,8 +65,6 @@ int usage(const char* argv0) {
       "  [--cluster H:P,...]     dispatch to these entrace_worker endpoints\n"
       "  [--cluster-workers N]   spawn N loopback workers and use them\n"
       "  [--worker-bin PATH]     entrace_worker binary (default: next to this binary)\n"
-      "  [--net-inject SPEC]     refuse=P,disconnect=P,corrupt=P,hang=P per-attempt faults\n"
-      "  [--net-inject-attempts N] inject only into each job's first N attempts\n"
       "  [--hb-interval S]       worker heartbeat cadence, seconds (default 0.1)\n"
       "  [--hb-timeout S]        silence deadline before a worker is hung (default 5)\n",
       argv0);
@@ -88,13 +81,13 @@ std::string sibling_binary(const char* argv0, const char* name) {
 }
 
 // Spawn N loopback entrace_worker processes, discover their
-// kernel-assigned ports through --port-file, and return the endpoints.
+// kernel-assigned ports through --port-file, and append the endpoints.
 // Throws on spawn or discovery failure; `spawned` always holds whatever
-// was launched so the caller's teardown reaps it.
-std::vector<std::string> spawn_loopback_workers(const std::string& worker_bin,
-                                                const std::string& work_dir, std::size_t count,
-                                                bool verbose,
-                                                std::vector<util::Subprocess>& spawned) {
+// was launched, and its destructors kill and reap the workers.
+void spawn_loopback_workers(const std::string& worker_bin, const std::string& work_dir,
+                            std::size_t count, bool verbose,
+                            std::vector<util::Subprocess>& spawned,
+                            std::vector<std::string>& endpoints) {
   std::filesystem::create_directories(work_dir);
   std::vector<std::string> port_files;
   for (std::size_t w = 0; w < count; ++w) {
@@ -109,29 +102,21 @@ std::vector<std::string> spawn_loopback_workers(const std::string& worker_bin,
     port_files.push_back(port_file);
   }
 
-  std::vector<std::string> endpoints;
   for (std::size_t w = 0; w < count; ++w) {
     // The port file appears via rename, so a file that exists is complete.
-    for (int tick = 0;; ++tick) {
-      if (std::filesystem::exists(port_files[w])) break;
-      if (!spawned[w].running()) {
-        throw std::runtime_error("worker " + std::to_string(w) + " exited before binding");
-      }
-      if (tick >= 1000) {
-        throw std::runtime_error("worker " + std::to_string(w) + " never published its port");
+    for (int tick = 0; !std::filesystem::exists(port_files[w]); ++tick) {
+      if (!spawned[w].running() || tick >= 1000) {
+        throw std::runtime_error("worker " + std::to_string(w) +
+                                 (tick >= 1000 ? " never published its port"
+                                               : " exited before binding"));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    std::FILE* f = std::fopen(port_files[w].c_str(), "r");
     unsigned port = 0;
-    if (f == nullptr || std::fscanf(f, "%u", &port) != 1 || port == 0 || port > 65535) {
-      if (f != nullptr) std::fclose(f);
-      throw std::runtime_error("bad port file " + port_files[w]);
-    }
-    std::fclose(f);
+    std::ifstream(port_files[w]) >> port;
+    if (port == 0 || port > 65535) throw std::runtime_error("bad port file " + port_files[w]);
     endpoints.push_back("127.0.0.1:" + std::to_string(port));
   }
-  return endpoints;
 }
 
 }  // namespace
@@ -142,12 +127,11 @@ int main(int argc, char** argv) {
   config.work_dir = "orchestrate.work";
   bool allow_partial = false;
   std::string metrics_out;
-  std::string cluster_spec;
-  std::size_t cluster_workers = 0;
+  std::uint64_t cluster_workers = 0;
   std::string worker_bin;
-  cluster::NetFaultInjection net_inject;
-  double hb_interval = 0.1, hb_timeout = 5.0;
+  cluster::ClusterConfig cluster_config;
   std::vector<const char*> positionals;
+  bool parse_error = false;
 
   for (int i = 1; i < argc; ++i) {
     const auto flag_value = [&](const char* name) -> const char* {
@@ -158,49 +142,64 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict flag-value parsing: std::atoi here would wrap "--workers -1"
+    // to SIZE_MAX and read "--workers x" as 0 — both silently.
+    const auto uint_value = [&](const char* v, std::uint64_t max) -> std::uint64_t {
+      std::uint64_t out = 0;
+      if (!cli::parse_uint(v, out) || out > max) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in [0, %llu]\n", argv[i - 1], v,
+                     static_cast<unsigned long long>(max));
+        parse_error = true;
+      }
+      return out;
+    };
+    const auto double_value = [&](const char* v) -> double {
+      double out = 0.0;
+      if (!cli::parse_nonneg_double(v, out)) {
+        std::fprintf(stderr, "%s: '%s' is not a non-negative number\n", argv[i - 1], v);
+        parse_error = true;
+      }
+      return out;
+    };
+    constexpr std::uint64_t kMaxCount = INT32_MAX - 1;
     if (const char* v = flag_value("--jobs")) {
-      config.jobs = static_cast<std::size_t>(std::atoi(v));
+      config.jobs = uint_value(v, kMaxCount);
     } else if (const char* v = flag_value("--workers")) {
-      config.workers = static_cast<std::size_t>(std::atoi(v));
+      config.workers = uint_value(v, kMaxCount);
     } else if (const char* v = flag_value("--shard-threads")) {
-      config.shard_threads = static_cast<std::size_t>(std::atoi(v));
+      config.shard_threads = uint_value(v, kMaxCount);
     } else if (const char* v = flag_value("--retries")) {
-      config.retry.max_attempts = std::atoi(v) + 1;
+      config.retry.max_attempts = static_cast<int>(uint_value(v, kMaxCount)) + 1;
     } else if (const char* v = flag_value("--deadline")) {
-      config.attempt_deadline = std::strtod(v, nullptr);
+      config.attempt_deadline = double_value(v);
     } else if (const char* v = flag_value("--backoff")) {
-      config.retry.base_delay = std::strtod(v, nullptr);
+      config.retry.base_delay = double_value(v);
     } else if (const char* v = flag_value("--seed")) {
-      const std::uint64_t seed = std::strtoull(v, nullptr, 10);
+      const std::uint64_t seed = uint_value(v, UINT64_MAX);
       config.inject.seed = seed;
       config.retry.seed = seed;
-      net_inject.seed = seed;
     } else if (const char* v = flag_value("--cluster")) {
-      cluster_spec = v;
+      std::string error;
+      if (!cluster::parse_endpoints(v, cluster_config.endpoints, &error)) {
+        std::fprintf(stderr, "--cluster: %s\n", error.c_str());
+        parse_error = true;
+      }
     } else if (const char* v = flag_value("--cluster-workers")) {
-      cluster_workers = static_cast<std::size_t>(std::atoi(v));
+      cluster_workers = uint_value(v, kMaxCount);
     } else if (const char* v = flag_value("--worker-bin")) {
       worker_bin = v;
-    } else if (const char* v = flag_value("--net-inject")) {
-      std::string error;
-      if (!cluster::parse_net_inject_spec(v, net_inject, &error)) {
-        std::fprintf(stderr, "--net-inject: %s\n", error.c_str());
-        return usage(argv[0]);
-      }
-    } else if (const char* v = flag_value("--net-inject-attempts")) {
-      net_inject.attempt_limit = std::atoi(v);
     } else if (const char* v = flag_value("--hb-interval")) {
-      hb_interval = std::strtod(v, nullptr);
+      cluster_config.heartbeat_interval = double_value(v);
     } else if (const char* v = flag_value("--hb-timeout")) {
-      hb_timeout = std::strtod(v, nullptr);
+      cluster_config.heartbeat_deadline = double_value(v);
     } else if (const char* v = flag_value("--inject")) {
       std::string error;
       if (!orchestrate::parse_inject_spec(v, config.inject, &error)) {
         std::fprintf(stderr, "--inject: %s\n", error.c_str());
-        return usage(argv[0]);
+        parse_error = true;
       }
     } else if (const char* v = flag_value("--inject-attempts")) {
-      config.inject.attempt_limit = std::atoi(v);
+      config.inject.attempt_limit = static_cast<int>(uint_value(v, kMaxCount));
     } else if (const char* v = flag_value("--work-dir")) {
       config.work_dir = v;
     } else if (const char* v = flag_value("--shard-bin")) {
@@ -217,6 +216,7 @@ int main(int argc, char** argv) {
       positionals.push_back(argv[i]);
     }
   }
+  if (parse_error) return usage(argv[0]);
 
   cli::DatasetArgs dataset{config.dataset, config.scale};
   std::string error;
@@ -232,43 +232,23 @@ int main(int argc, char** argv) {
   obs::Registry metrics;
   config.metrics = &metrics;
 
-  const bool cluster_mode = !cluster_spec.empty() || cluster_workers > 0;
+  const bool cluster_mode = !cluster_config.endpoints.empty() || cluster_workers > 0;
   const char* mode = cluster_mode ? "cluster" : "orchestrate";
   orchestrate::OrchestrateResult result;
   std::vector<util::Subprocess> spawned;
   try {
     if (cluster_mode) {
-      cluster::ClusterConfig cc;
-      cc.dataset = config.dataset;
-      cc.scale = config.scale;
-      cc.jobs = config.jobs;
-      cc.shard_threads = config.shard_threads;
-      cc.retry = config.retry;
-      cc.inject = net_inject;
-      cc.heartbeat_interval = hb_interval;
-      cc.heartbeat_deadline = hb_timeout;
-      cc.metrics = &metrics;
-      cc.verbose = config.verbose;
-      if (!cluster_spec.empty()) {
-        std::string eperr;
-        if (!cluster::parse_endpoints(cluster_spec, cc.endpoints, &eperr)) {
-          std::fprintf(stderr, "--cluster: %s\n", eperr.c_str());
-          return usage(argv[0]);
-        }
-      }
+      static_cast<orchestrate::DispatchConfig&>(cluster_config) = config;
       if (cluster_workers > 0) {
         if (worker_bin.empty()) worker_bin = sibling_binary(argv[0], "entrace_worker");
-        const std::vector<std::string> local = spawn_loopback_workers(
-            worker_bin, config.work_dir, cluster_workers, config.verbose, spawned);
-        cc.endpoints.insert(cc.endpoints.end(), local.begin(), local.end());
+        spawn_loopback_workers(worker_bin, config.work_dir, cluster_workers, config.verbose,
+                               spawned, cluster_config.endpoints);
       }
-      result = cluster::run_cluster(cc);
-      for (util::Subprocess& worker : spawned) worker.kill_and_wait();
+      result = cluster::run_cluster(cluster_config);
     } else {
       result = orchestrate::orchestrate(config);
     }
   } catch (const std::exception& e) {
-    for (util::Subprocess& worker : spawned) worker.kill_and_wait();
     std::fprintf(stderr, "%s: %s\n", mode, e.what());
     return 2;
   }

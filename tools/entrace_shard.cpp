@@ -78,7 +78,12 @@ int main(int argc, char** argv) {
       }
       have_range = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
+      std::uint64_t n = 0;
+      if (!cli::parse_uint(argv[++i], n)) {
+        std::fprintf(stderr, "--threads: '%s' is not a non-negative integer\n", argv[i]);
+        return usage(argv[0]);
+      }
+      threads = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
     } else {

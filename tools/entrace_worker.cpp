@@ -20,6 +20,7 @@
 #include <string>
 
 #include "cluster/worker.h"
+#include "util/cli.h"
 
 using namespace entrace;
 
@@ -67,7 +68,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (const char* v = flag_value("--port")) {
-      config.port = static_cast<std::uint16_t>(std::atoi(v));
+      std::uint64_t port = 0;
+      if (!cli::parse_uint(v, port) || port > 65535) {
+        std::fprintf(stderr, "--port: '%s' is not a port number in [0, 65535]\n", v);
+        return usage(argv[0]);
+      }
+      config.port = static_cast<std::uint16_t>(port);
     } else if (const char* v = flag_value("--port-file")) {
       port_file = v;
     } else if (const char* v = flag_value("--name")) {
