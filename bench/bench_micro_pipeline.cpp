@@ -649,12 +649,12 @@ void run_telemetry_overhead() {
               static_cast<unsigned long long>(packets));
 }
 
-// ---- batch-vs-scalar study --------------------------------------------------
+// ---- batch-size study -------------------------------------------------------
 
-// One interleaved batch-vs-scalar measurement: analyze_dataset with
-// config.batch_size <= 1 (the scalar reference loop) against the batched
-// pipeline at several batch sizes, alternating configurations within every
-// repetition so load drift hits all of them equally.  Stage attribution
+// One interleaved batch-size sweep through analyze_trace's one ingest loop:
+// batch@1 (one packet per next_batch call) is the baseline the larger sizes
+// are compared with, alternating configurations within every repetition so
+// load drift hits all of them equally.  Stage attribution
 // comes from the analyzer's own obs::stage_timer recordings
 // (stage.batch.{source,decode,tally,flow}.seconds, folded across shards).
 struct BatchRun {
@@ -668,8 +668,7 @@ struct BatchStudy {
   double scale = 0.0;
   int reps = 0;
   std::uint64_t packets = 0;
-  BatchRun scalar;
-  std::vector<BatchRun> sweep;
+  std::vector<BatchRun> runs;  // runs.front() is the batch@1 baseline
   bool ok = false;
 };
 
@@ -692,7 +691,7 @@ void run_batch_study(double scale, int reps) {
   std::vector<BatchRun> runs(sizes.size());
   for (std::size_t i = 0; i < sizes.size(); ++i) runs[i].batch_size = sizes[i];
 
-  std::printf("---- batch vs scalar (D3, scale %.3f, %llu packets, interleaved best of %d) ----\n",
+  std::printf("---- batch sizes (D3, scale %.3f, %llu packets, interleaved best of %d) ----\n",
               scale, static_cast<unsigned long long>(packets), reps);
   // Interleave: every rep visits every configuration once before any
   // configuration repeats, so a slow machine moment cannot flatter one side.
@@ -720,16 +719,12 @@ void run_batch_study(double scale, int reps) {
   g_batch_study.scale = scale;
   g_batch_study.reps = reps;
   g_batch_study.packets = packets;
-  g_batch_study.scalar = runs.front();
-  g_batch_study.sweep.assign(runs.begin() + 1, runs.end());
+  g_batch_study.runs = runs;
   g_batch_study.ok = true;
 
-  std::printf("  %-12s %8.3fs  %12.0f pps  (scalar reference loop)\n", "scalar",
-              runs.front().seconds, runs.front().pps);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    const BatchRun& r = runs[i];
+  for (const BatchRun& r : runs) {
     std::printf(
-        "  batch@%-6zu %8.3fs  %12.0f pps  (%.2fx vs scalar; stages src %.3f dec %.3f tly %.3f flw %.3f)\n",
+        "  batch@%-6zu %8.3fs  %12.0f pps  (%.2fx vs batch@1; stages src %.3f dec %.3f tly %.3f flw %.3f)\n",
         r.batch_size, r.seconds, r.pps, runs.front().seconds / r.seconds, r.source_s,
         r.decode_s, r.tally_s, r.flow_s);
   }
@@ -1349,7 +1344,7 @@ void run_pipeline_scaling() {
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-    // Batch-vs-scalar study (see run_batch_study): interleaved reps, stage
+    // Batch-size study (see run_batch_study): interleaved reps, stage
     // seconds from the analyzer's obs::stage_timer.
     if (g_batch_study.ok) {
       std::fprintf(json,
@@ -1357,22 +1352,17 @@ void run_pipeline_scaling() {
                    "    \"reps\": %d,\n    \"interleaved\": true,\n    \"packets\": %llu,\n",
                    g_batch_study.scale, g_batch_study.reps,
                    static_cast<unsigned long long>(g_batch_study.packets));
-      std::fprintf(json,
-                   "    \"scalar\": {\"batch_size\": 1, \"seconds\": %.6f, \"pps\": %.1f},\n",
-                   g_batch_study.scalar.seconds, g_batch_study.scalar.pps);
+      const std::vector<BatchRun>& runs = g_batch_study.runs;
       std::fprintf(json, "    \"sweep\": [\n");
-      for (std::size_t i = 0; i < g_batch_study.sweep.size(); ++i) {
-        const BatchRun& r = g_batch_study.sweep[i];
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        const BatchRun& r = runs[i];
         std::fprintf(json,
                      "      {\"batch_size\": %zu, \"seconds\": %.6f, \"pps\": %.1f, "
-                     "\"speedup_vs_scalar\": %.3f, \"stages\": {\"source\": %.6f, "
+                     "\"speedup_vs_batch1\": %.3f, \"stages\": {\"source\": %.6f, "
                      "\"decode\": %.6f, \"tally\": %.6f, \"flow\": %.6f}}%s\n",
                      r.batch_size, r.seconds, r.pps,
-                     g_batch_study.scalar.seconds > 0 && r.seconds > 0
-                         ? g_batch_study.scalar.seconds / r.seconds
-                         : 0.0,
-                     r.source_s, r.decode_s, r.tally_s, r.flow_s,
-                     i + 1 < g_batch_study.sweep.size() ? "," : "");
+                     r.seconds > 0 ? runs.front().seconds / r.seconds : 0.0, r.source_s,
+                     r.decode_s, r.tally_s, r.flow_s, i + 1 < runs.size() ? "," : "");
       }
       std::fprintf(json, "    ]\n  },\n");
     }
@@ -1538,9 +1528,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       // Harness self-test (CTest label "bench-smoke"): a tiny interleaved
-      // batch-vs-scalar pass that exercises generation, the scalar
-      // reference loop, the batched pipeline, and the stage timers without
-      // writing BENCH_pipeline.json (only run_pipeline_scaling holds the
+      // batch-size pass that exercises generation, the ingest loop at
+      // batch@1 and larger sizes, and the stage timers without writing
+      // BENCH_pipeline.json (only run_pipeline_scaling holds the
       // JSON pen, and it does not run in smoke mode).
       entrace::run_batch_study(0.002, 1);
       if (!entrace::g_batch_study.ok || entrace::g_batch_study.packets == 0) {

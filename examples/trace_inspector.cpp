@@ -1,8 +1,9 @@
 // trace_inspector: a conn.log-style tool over pcap files — stream a capture
 // (or generate a demo one), print per-connection summaries and per-app
 // tallies.  Demonstrates using the library on externally captured traces:
-// the file is analyzed straight off disk through PcapFileSource, one packet
-// in memory at a time, so captures far bigger than RAM inspect fine.
+// the file is analyzed straight off disk through PcapFileSource, one batch
+// of packets in memory at a time, so captures far bigger than RAM inspect
+// fine.
 //
 //   $ ./trace_inspector file.pcap          # inspect an existing pcap
 //   $ ./trace_inspector --demo out.pcap    # write + inspect a demo capture
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "pcap/packet_source.h"
@@ -30,7 +32,12 @@ int main(int argc, char** argv) {
     // capture never exists in memory either.
     SyntheticTraceSource source(spec, model, plan_dataset(spec).front());
     PcapWriter writer(path, source.meta().snaplen);
-    while (const RawPacket* pkt = source.next()) writer.write(*pkt);
+    std::vector<PacketView> views(256);
+    while (const std::size_t got = source.next_batch(views.data(), views.size())) {
+      for (std::size_t i = 0; i < got; ++i) {
+        writer.write(views[i].ts, views[i].wire_len, views[i].data);
+      }
+    }
     std::printf("wrote demo capture to %s\n", path.c_str());
   } else if (argc >= 2) {
     path = argv[1];

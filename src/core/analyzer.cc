@@ -43,9 +43,9 @@ AnalyzerConfig default_config_for_model(const SiteConfig& site) {
 
 // One fused streaming pass over a trace source: pull -> decode -> tallies
 // -> scanner observation -> flow table -> protocol dispatch, with a single
-// decode_packet call per packet and only the source's own buffer (one
-// packet for files, one slice for synthetic regeneration, zero copies for
-// in-memory traces) between disk and results.
+// decode per packet and only the source's own buffer (one batch for files,
+// one slice for synthetic regeneration, zero copies for in-memory traces)
+// between disk and results.
 void analyze_trace(PacketSource& source, const AnalyzerConfig& config, TraceShard& shard) {
   // The engine itself lives in core/incremental.h: one TraceStream fed to
   // exhaustion is exactly the historical fused pass, and finish_batch moves
@@ -56,28 +56,22 @@ void analyze_trace(PacketSource& source, const AnalyzerConfig& config, TraceShar
   obs::Registry* reg = config.collect_metrics ? &shard.metrics : nullptr;
   obs::StageScope stage(reg, "trace");
 
+  // One virtual next_batch call amortized over up to batch_size packets
+  // (clamped to 1: a zero-sized batch would read nothing); the stream runs
+  // the staged decode -> tally -> flow loops over the views, which stay
+  // valid until the next call.
+  std::vector<PacketView> views(std::max<std::size_t>(config.batch_size, 1));
+  using clock = std::chrono::steady_clock;
+  const bool timed = reg != nullptr;
   double source_s = 0.0;
   std::uint64_t batches = 0;
-  if (config.batch_size <= 1) {
-    // Scalar reference loop: one virtual pull and one decode per packet,
-    // kept as the equivalence oracle for the batched path.
-    while (const RawPacket* pulled = source.next()) stream.feed_packet(*pulled);
-  } else {
-    // Batched pipeline: one virtual next_batch call amortized over up to
-    // batch_size packets; the stream runs the staged decode -> tally ->
-    // flow loops over the views, which stay valid until the next call.
-    const std::size_t batch = config.batch_size;
-    std::vector<PacketView> views(batch);
-    using clock = std::chrono::steady_clock;
-    const bool timed = reg != nullptr;
-    for (;;) {
-      const auto t0 = timed ? clock::now() : clock::time_point{};
-      const std::size_t got = source.next_batch(views.data(), batch);
-      if (timed) source_s += std::chrono::duration<double>(clock::now() - t0).count();
-      if (got == 0) break;
-      ++batches;
-      stream.feed(views.data(), got);
-    }
+  for (;;) {
+    const auto t0 = timed ? clock::now() : clock::time_point{};
+    const std::size_t got = source.next_batch(views.data(), views.size());
+    if (timed) source_s += std::chrono::duration<double>(clock::now() - t0).count();
+    if (got == 0) break;
+    ++batches;
+    stream.feed(views.data(), got);
   }
   stream.finish_batch(source, shard, source_s, batches);
   if (reg != nullptr) stage.add_items(shard.quality.packets_seen);

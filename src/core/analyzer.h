@@ -70,8 +70,7 @@ struct AnalyzerConfig {
   // Packets pulled, decoded, tallied and flow-processed per batch.  Results
   // are byte-identical for every value: the stage loops only regroup work
   // that is order-independent across stages (tallies are additive, flow
-  // processing preserves packet order).  <= 1 selects the scalar
-  // packet-at-a-time loop, kept as the equivalence reference.
+  // processing preserves packet order).  0 is treated as 1.
   std::size_t batch_size = 256;
 };
 
@@ -204,7 +203,7 @@ struct TraceShard {
 
 // One fused streaming pass over a trace source: pull -> decode -> tallies
 // -> scanner observation -> flow table -> protocol dispatch, with a single
-// decode_packet call per packet.  Fills `shard` (which must be fresh).
+// decode per packet.  Fills `shard` (which must be fresh).
 void analyze_trace(PacketSource& source, const AnalyzerConfig& config, TraceShard& shard);
 
 // Analyze traces [begin, end) of the set — one shard per trace, in trace-

@@ -149,25 +149,6 @@ void TraceStream::flow_one(const DecodedPacket& d, std::uint64_t key_lo, std::ui
   }
 }
 
-void TraceStream::feed_packet(const RawPacket& pkt) {
-  ++totals_.source.packets;
-  totals_.source.captured_bytes += pkt.data.size();
-  totals_.source.wire_bytes += pkt.wire_len;
-  if (pkt.ts > last_ts_) last_ts_ = pkt.ts;
-  ++quality_.packets_seen;
-  const auto decoded = decode_packet(pkt, &quality_.anomalies);
-  if (!decoded || decoded->checksum_bad()) {
-    // Either nothing to attribute (not even an Ethernet header) or the
-    // header bytes are demonstrably corrupt: addresses/ports can't be
-    // trusted, so the packet is excluded from all traffic accounting
-    // (Bro's checksum handling on the paper's traces behaves the same).
-    ++quality_.packets_dropped;
-    return;
-  }
-  tally_one(*decoded);
-  flow_one(*decoded, 0, 0, false);
-}
-
 void TraceStream::feed(const PacketView* views, std::size_t n) {
   if (n == 0) return;
   if (decoded_.size() < n) {
@@ -198,6 +179,10 @@ void TraceStream::feed(const PacketView* views, std::size_t n) {
     ok_[i] = good ? 1 : 0;
     keyed_[i] = 0;
     if (!good) {
+      // Either nothing to attribute (not even an Ethernet header) or the
+      // header bytes are demonstrably corrupt: addresses/ports can't be
+      // trusted, so the packet is excluded from all traffic accounting
+      // (Bro's checksum handling on the paper's traces behaves the same).
       ++quality_.packets_dropped;
       continue;
     }
@@ -209,8 +194,6 @@ void TraceStream::feed(const PacketView* views, std::size_t n) {
       keyed_[i] = 1;
     }
   }
-  if (views[n - 1].ts > last_ts_) last_ts_ = views[n - 1].ts;
-  used_batch_ = true;
   lap(decode_s_);
   for (std::size_t i = 0; i < n; ++i) {
     if (ok_[i]) tally_one(decoded_[i]);
@@ -368,7 +351,6 @@ void TraceStream::finish_batch(PacketSource& source, TraceShard& shard, double s
 
 void TraceStream::record_stage_timing(obs::Registry& reg, double source_seconds,
                                       std::uint64_t source_batches) const {
-  if (!used_batch_) return;
   const CaptureQuality& q = totals_.quality.packets_seen != 0 ? totals_.quality : quality_;
   if (source_batches != 0) obs::record_stage(&reg, "batch.source", source_seconds, source_batches);
   obs::record_stage(&reg, "batch.decode", decode_s_, q.packets_seen);

@@ -38,14 +38,6 @@ PcapFileSource::PcapFileSource(const std::string& path, std::string name, int su
 
 PcapFileSource::~PcapFileSource() = default;
 
-const RawPacket* PcapFileSource::pull() {
-  auto pkt = reader_->next();
-  if (!pkt) return nullptr;
-  if (pkt->data.size() > meta_.snaplen) pkt->data.resize(meta_.snaplen);
-  current_ = std::move(*pkt);
-  return &current_;
-}
-
 std::size_t PcapFileSource::pull_batch(PacketView* out, std::size_t n) {
   batch_.clear();
   batch_.reserve(n);
@@ -71,7 +63,7 @@ std::unique_ptr<PacketSource> PcapFileSourceSet::open(std::size_t index) const {
 // ---- MergedPacketStream -----------------------------------------------------
 
 MergedPacketStream::MergedPacketStream(std::vector<std::unique_ptr<PacketSource>> sources)
-    : sources_(std::move(sources)) {
+    : sources_(std::move(sources)), bufs_(sources_.size()) {
   meta_.name = "merged";
   meta_.subnet_id = -1;
   meta_.snaplen = 0;
@@ -90,9 +82,6 @@ MergedPacketStream::MergedPacketStream(std::vector<std::unique_ptr<PacketSource>
     meta_.start_ts = start;
     meta_.duration = end - start;
   }
-  // Priming is lazy (first pull/pull_batch): the old eager heap prime
-  // consumed one packet per sub-source through the scalar path, which a
-  // batch consumer's buffers would then never see.
 }
 
 const AnomalyCounts& MergedPacketStream::anomalies() const {
@@ -101,37 +90,8 @@ const AnomalyCounts& MergedPacketStream::anomalies() const {
   return merged_anomalies_;
 }
 
-const RawPacket* MergedPacketStream::pull() {
-  if (mode_ == Mode::kNone) {
-    mode_ = Mode::kScalar;
-    heap_.reserve(sources_.size());
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (const RawPacket* pkt = sources_[i]->next()) heap_.push_back({pkt, i});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), later);
-  }
-  if (pending_ != SIZE_MAX) {
-    // The previously returned packet is dead now; its source can advance.
-    if (const RawPacket* pkt = sources_[pending_]->next()) {
-      heap_.push_back({pkt, pending_});
-      std::push_heap(heap_.begin(), heap_.end(), later);
-    }
-    pending_ = SIZE_MAX;
-  }
-  if (heap_.empty()) return nullptr;
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  const Head head = heap_.back();
-  heap_.pop_back();
-  pending_ = head.index;
-  return head.pkt;
-}
-
 std::size_t MergedPacketStream::pull_batch(PacketView* out, std::size_t n) {
   constexpr std::size_t kHeadBatch = 64;
-  if (mode_ == Mode::kNone) {
-    mode_ = Mode::kBatch;
-    bufs_.resize(sources_.size());
-  }
   // Refill exhausted buffers only on entry: the caller is done with the
   // previous batch's views by contract, so they may die now.
   for (std::size_t i = 0; i < sources_.size(); ++i) {
@@ -147,9 +107,9 @@ std::size_t MergedPacketStream::pull_batch(PacketView* out, std::size_t n) {
   }
   std::size_t k = 0;
   while (k < n) {
-    // Global minimum over buffer heads by (ts, source index) — the same
-    // order the heap in next() produces.  Source counts are small (one
-    // per trace), so a linear scan beats heap maintenance here.
+    // Global minimum over buffer heads by (ts, source index): the strict
+    // `<` keeps the lowest index on ties.  Source counts are small (one per
+    // trace), so a linear scan beats heap maintenance here.
     std::size_t best = SIZE_MAX;
     for (std::size_t i = 0; i < bufs_.size(); ++i) {
       const SourceBuf& b = bufs_[i];

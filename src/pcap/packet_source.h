@@ -2,19 +2,25 @@
 //
 // The paper's datasets are 17-65M packets each; materializing a whole
 // TraceSet before analysis caps dataset size by RAM instead of disk/CPU.
-// A PacketSource yields one RawPacket at a time plus the trace metadata
-// the analyzer needs up front (name, subnet, snaplen, capture window) and
-// the source-layer anomalies accumulated while reading, so the analyzer
-// can run the fused single-decode pass without ever holding a trace in
-// memory.  Three implementations exist:
+// A PacketSource yields batches of zero-copy PacketViews plus the trace
+// metadata the analyzer needs up front (name, subnet, snaplen, capture
+// window) and the source-layer anomalies accumulated while reading, so the
+// analyzer can run the fused single-decode pass without ever holding a
+// trace in memory.  next_batch() is the only ingest call; a batch of one is
+// a parameter of it (AnalyzerConfig::batch_size), not a second API.
+// Implementations:
 //
-//   - MemoryTraceSource    adapts an in-memory Trace (zero-copy; keeps
-//                          every existing TraceSet caller working),
+//   - MemoryTraceSource    adapts an in-memory Trace (views alias the
+//                          Trace's own packets; keeps every TraceSet caller
+//                          working),
 //   - PcapFileSource       streams straight off disk through PcapReader's
 //                          recoverable mode, applying snaplen and record-
 //                          level anomaly accounting inline,
 //   - SyntheticTraceSource (src/synth/synth_source.h) regenerates the
-//                          trace in bounded time slices.
+//                          trace in bounded time slices,
+//   - MergedPacketStream   merges several sources in timestamp order,
+//   - PacedReplaySource    (pcap/replay.h) releases an inner source's
+//                          batches on the capture's own timeline.
 //
 // A TraceSourceSet is the per-dataset factory: analyze_dataset's thread-
 // pool jobs each open() their own source, so per-trace streams never share
@@ -35,7 +41,7 @@ namespace entrace {
 
 // Zero-copy view of one captured packet — the unit of batched ingest.
 // `data` aliases storage owned by the source and stays valid only until
-// the next next_batch()/next() call on that source.
+// the next next_batch() call on that source.
 struct PacketView {
   double ts = 0.0;
   std::uint32_t wire_len = 0;
@@ -59,9 +65,8 @@ struct TraceMeta {
 };
 
 // Ingest volume a source has delivered so far — the telemetry ground truth
-// for `source.*` metrics.  Maintained by PacketSource::next() itself so
-// every implementation (memory, pcap file, synthetic) self-counts without
-// duplicated bookkeeping.
+// for `source.*` metrics.  Maintained by PacketSource::next_batch() itself
+// so every implementation self-counts without duplicated bookkeeping.
 struct SourceStats {
   std::uint64_t packets = 0;
   std::uint64_t captured_bytes = 0;  // sum of data.size() after snaplen clip
@@ -74,27 +79,12 @@ class PacketSource {
 
   virtual const TraceMeta& meta() const = 0;
 
-  // Next packet, or nullptr at end of stream.  The pointee is owned by the
-  // source and stays valid only until the next call to next().
-  // Non-virtual template method: counts the packet into stats(), then
-  // returns pull()'s pointer unchanged.
-  const RawPacket* next() {
-    const RawPacket* pkt = pull();
-    if (pkt != nullptr) {
-      ++stats_.packets;
-      stats_.captured_bytes += pkt->data.size();
-      stats_.wire_bytes += pkt->wire_len;
-    }
-    return pkt;
-  }
-
-  // Batched ingest: fill up to n views, returning the count (0 = end of
-  // stream).  Views stay valid until the next next_batch()/next() call on
-  // this source.  Sources may return short batches at internal buffer
-  // boundaries (slice refills, merged-stream head exhaustion) — a short
-  // batch is NOT end-of-stream; only 0 is.  This is the primary hot-path
-  // API: one virtual dispatch and one stats update per batch instead of
-  // per packet.
+  // Fill up to n views, returning the count (0 = end of stream).  Views
+  // stay valid until the next next_batch() call on this source.  Sources
+  // may return short batches at internal buffer boundaries (slice refills,
+  // merged-stream head exhaustion) — a short batch is NOT end-of-stream;
+  // only 0 is.  Non-virtual template method: one virtual dispatch and one
+  // stats update per batch.
   std::size_t next_batch(PacketView* out, std::size_t n) {
     const std::size_t got = pull_batch(out, n);
     std::uint64_t captured = 0, wire = 0;
@@ -108,39 +98,20 @@ class PacketSource {
     return got;
   }
 
-  // Volume delivered so far; complete once next() has returned nullptr.
+  // Volume delivered so far; complete once next_batch() has returned 0.
   const SourceStats& stats() const { return stats_; }
 
   // Source-layer anomalies (pcap record damage, salvaged truncations)
-  // accumulated so far; complete once next() has returned nullptr.
+  // accumulated so far; complete once next_batch() has returned 0.
   virtual const AnomalyCounts& anomalies() const = 0;
 
  protected:
-  // Implementation hook with the same ownership contract as next().
-  virtual const RawPacket* pull() = 0;
-
-  // Batch hook.  The default adapter loops pull(), copying each packet
-  // into an owned buffer because pull()'s pointee dies on the next pull()
-  // — subclasses that own stable storage override this with a real
-  // (copy-free) batch fill.
-  virtual std::size_t pull_batch(PacketView* out, std::size_t n) {
-    fallback_batch_.clear();
-    fallback_batch_.reserve(n);
-    while (fallback_batch_.size() < n) {
-      const RawPacket* pkt = pull();
-      if (pkt == nullptr) break;
-      fallback_batch_.push_back(*pkt);
-    }
-    for (std::size_t i = 0; i < fallback_batch_.size(); ++i) {
-      const RawPacket& p = fallback_batch_[i];
-      out[i] = PacketView{p.ts, p.wire_len, p.data};
-    }
-    return fallback_batch_.size();
-  }
+  // Implementation hook with next_batch()'s contract (views alias storage
+  // the source owns until its next call).
+  virtual std::size_t pull_batch(PacketView* out, std::size_t n) = 0;
 
  private:
   SourceStats stats_;
-  std::vector<RawPacket> fallback_batch_;
 };
 
 // Factory of per-trace sources for one dataset.  open() may be called
@@ -168,11 +139,7 @@ class MemoryTraceSource final : public PacketSource {
   const AnomalyCounts& anomalies() const override { return trace_->file_anomalies; }
 
  protected:
-  const RawPacket* pull() override {
-    return pos_ < trace_->packets.size() ? &trace_->packets[pos_++] : nullptr;
-  }
-
-  // Real batch fill: views alias the Trace's own packet storage.
+  // Views alias the Trace's own packet storage.
   std::size_t pull_batch(PacketView* out, std::size_t n) override {
     const std::vector<RawPacket>& pkts = trace_->packets;
     std::size_t i = 0;
@@ -220,7 +187,6 @@ class PcapFileSource final : public PacketSource {
   const AnomalyCounts& anomalies() const override;
 
  protected:
-  const RawPacket* pull() override;
   // Reads up to n records into an owned per-batch buffer (one read loop,
   // no per-packet virtual dispatch from the analyzer side).
   std::size_t pull_batch(PacketView* out, std::size_t n) override;
@@ -228,7 +194,6 @@ class PcapFileSource final : public PacketSource {
  private:
   std::unique_ptr<class PcapReader> reader_;
   TraceMeta meta_;
-  RawPacket current_;
   std::vector<RawPacket> batch_;
 };
 
@@ -263,13 +228,10 @@ class PcapFileSourceSet final : public TraceSourceSet {
 //
 // A PacketSource itself, so it composes with any source consumer — the
 // paced replay wrapper (pcap/replay.h) and the daemon's ingest loop run on
-// the same next_batch() contract as single-trace analysis.  pull_batch is
-// the real k-way merge at batch granularity (no per-packet virtual call);
-// each view's `source` field carries the originating sub-source index so a
-// demuxing consumer can attribute packets per trace.  The scalar pull()
-// path returns RawPackets, which carry no attribution — multi-trace
-// consumers must use next_batch().  Do not mix next() and next_batch() on
-// the same stream.
+// the same next_batch() contract as single-trace analysis.  The merge runs
+// at batch granularity (no per-packet virtual call); each view's `source`
+// field carries the originating sub-source index so a demuxing consumer
+// can attribute packets per trace.
 class MergedPacketStream final : public PacketSource {
  public:
   explicit MergedPacketStream(std::vector<std::unique_ptr<PacketSource>> sources);
@@ -288,43 +250,22 @@ class MergedPacketStream final : public PacketSource {
   const PacketSource& source(std::size_t i) const { return *sources_[i]; }
 
  protected:
-  // Next packet in merged order, or nullptr when every source is drained.
-  // The pointee stays valid until the next call.
-  const RawPacket* pull() override;
-
-  // Batched merge: each source keeps a buffered batch of heads, and the
-  // merge pops the global (ts, source index) minimum into `out`.  When a
-  // source's buffer runs dry mid-batch the call returns short (refilling
-  // would invalidate views already handed out); 0 means fully drained.
-  // Yields the exact packet sequence pull() yields.
+  // Each source keeps a buffered batch of heads, and the merge pops the
+  // global (ts, source index) minimum into `out`.  When a source's buffer
+  // runs dry mid-batch the call returns short (refilling would invalidate
+  // views already handed out); 0 means fully drained.
   std::size_t pull_batch(PacketView* out, std::size_t n) override;
 
  private:
-  struct Head {
-    const RawPacket* pkt;
-    std::size_t index;  // source index; the tie-break for equal timestamps
-  };
-  static bool later(const Head& a, const Head& b) {
-    return a.pkt->ts > b.pkt->ts || (a.pkt->ts == b.pkt->ts && a.index > b.index);
-  }
-
-  std::vector<std::unique_ptr<PacketSource>> sources_;
-  std::vector<Head> heap_;          // min-heap on (ts, source index)
-  std::size_t pending_ = SIZE_MAX;  // source to advance on the next call
-
-  // next_batch() state: one buffered batch of views per source.
+  // One buffered batch of views per source.
   struct SourceBuf {
     std::vector<PacketView> views;
     std::size_t pos = 0;
     bool eof = false;
   };
-  std::vector<SourceBuf> bufs_;
-  // The first pull decides which merge engine owns the sub-sources (the
-  // heap of scalar heads or the per-source view buffers); priming happens
-  // lazily there so neither mode consumes packets the other would miss.
-  enum class Mode : std::uint8_t { kNone, kScalar, kBatch };
-  Mode mode_ = Mode::kNone;
 
+  std::vector<std::unique_ptr<PacketSource>> sources_;
+  std::vector<SourceBuf> bufs_;
   TraceMeta meta_;
   mutable AnomalyCounts merged_anomalies_;
 };

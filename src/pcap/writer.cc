@@ -36,10 +36,10 @@ PcapWriter::PcapWriter(const std::string& path, std::uint32_t snaplen)
 
 PcapWriter::~PcapWriter() = default;
 
-void PcapWriter::write(const RawPacket& pkt) {
+void PcapWriter::write(double ts, std::uint32_t wire_len, std::span<const std::uint8_t> data) {
   const std::uint32_t caplen =
-      std::min<std::uint32_t>(static_cast<std::uint32_t>(pkt.data.size()), snaplen_);
-  const double ts = pkt.ts < 0 ? 0.0 : pkt.ts;
+      std::min<std::uint32_t>(static_cast<std::uint32_t>(data.size()), snaplen_);
+  ts = ts < 0 ? 0.0 : ts;
   const auto sec = static_cast<std::uint32_t>(ts);
   const auto usec = static_cast<std::uint32_t>(std::lround((ts - sec) * 1e6)) % 1000000;
 
@@ -49,8 +49,8 @@ void PcapWriter::write(const RawPacket& pkt) {
   w.u32le(sec);
   w.u32le(usec);
   w.u32le(caplen);
-  w.u32le(pkt.wire_len);
-  w.bytes(std::span<const std::uint8_t>(pkt.data.data(), caplen));
+  w.u32le(wire_len);
+  w.bytes(data.first(caplen));
   if (std::fwrite(rec.data(), 1, rec.size(), file_.get()) != rec.size())
     throw std::runtime_error("PcapWriter: record write failed");
   ++packets_;

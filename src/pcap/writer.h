@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "net/packet.h"
@@ -24,7 +25,8 @@ class PcapWriter {
   PcapWriter& operator=(const PcapWriter&) = delete;
 
   // Writes a record; data beyond the snaplen is truncated.
-  void write(const RawPacket& pkt);
+  void write(double ts, std::uint32_t wire_len, std::span<const std::uint8_t> data);
+  void write(const RawPacket& pkt) { write(pkt.ts, pkt.wire_len, pkt.data); }
 
   std::uint64_t packets_written() const { return packets_; }
   std::uint32_t snaplen() const { return snaplen_; }

@@ -101,11 +101,6 @@ bool SyntheticTraceSource::swap_in_next_slice() {
   return true;
 }
 
-const RawPacket* SyntheticTraceSource::pull() {
-  if (pos_ >= buffer_.size() && !fill_next_slice()) return nullptr;
-  return &buffer_[pos_++];
-}
-
 std::size_t SyntheticTraceSource::pull_batch(PacketView* out, std::size_t n) {
   if (pos_ >= buffer_.size() && !fill_next_slice()) return 0;
   const std::size_t take = std::min(n, buffer_.size() - pos_);

@@ -49,7 +49,6 @@ class SyntheticTraceSource final : public PacketSource {
   const AnomalyCounts& anomalies() const override { return no_anomalies_; }
 
  protected:
-  const RawPacket* pull() override;
   // Serves views straight from the current slice buffer; short batches at
   // slice boundaries (the refill happens on the next call, never while
   // handed-out views are live).

@@ -1,13 +1,14 @@
-// Batched-pipeline equivalence suite (CTest label "batch", also run under
+// Batch-size equivalence suite (CTest label "batch", also run under
 // sanitizers via `ctest --preset batch-asan` / `ctest --preset batch-tsan`).
 //
-// The batched hot path's contract (analyzer.h): AnalyzerConfig::batch_size
-// only regroups work — pull_batch + SoA decode + tally + flow stages must
-// fold to results byte-identical to the scalar packet-at-a-time reference
-// loop (batch_size <= 1) for every batch size, every PacketSource kind,
-// every thread count, and through the shard -> snapshot -> merge path.
-// Rendered full reports are the equality check: any tally drift anywhere
-// becomes a text diff.
+// analyze_trace has one ingest loop; AnalyzerConfig::batch_size only
+// regroups its work — next_batch + SoA decode + tally + flow stages must
+// produce reports byte-identical for every batch size (1 included), every
+// PacketSource kind, every thread count, and through the shard -> snapshot
+// -> merge path.  Clean runs are checked against the pinned golden digests
+// (golden.h), so agreement among batch sizes cannot hide a shared drift;
+// corrupted runs, which have no pinned digest, are checked against each
+// other down to the exact anomaly taxonomy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 
 #include "core/analyzer.h"
 #include "core/report.h"
+#include "golden.h"
 #include "snapshot/format.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
@@ -31,7 +33,7 @@ namespace {
 
 namespace snap = entrace::snapshot;
 
-// Batch sizes under test: the scalar reference, a small odd size that never
+// Batch sizes under test: one packet per batch, a small odd size that never
 // divides trace/slice lengths evenly (exercises ragged final batches and
 // slice-boundary short batches), and the production default.
 constexpr std::array<std::size_t, 3> kBatchSizes = {1, 7, 256};
@@ -42,13 +44,9 @@ class BatchTest : public ::testing::Test {
     static const EnterpriseModel m;
     return m;
   }
-  static DatasetSpec small_spec() {
-    DatasetSpec spec = dataset_d3(0.004);
-    spec.monitored_subnets = {4, 15, 20};
-    return spec;
-  }
+  static DatasetSpec spec() { return dataset_d3(golden::kScale); }
   static const TraceSet& materialized() {
-    static const TraceSet traces = generate_dataset(small_spec(), model());
+    static const TraceSet traces = generate_dataset(spec(), model());
     return traces;
   }
   static AnalyzerConfig config(std::size_t threads, std::size_t batch_size) {
@@ -58,16 +56,10 @@ class BatchTest : public ::testing::Test {
     return c;
   }
   static std::string report_of(const DatasetAnalysis& analysis) {
-    const DatasetSpec s = small_spec();
+    const DatasetSpec s = spec();
     const report::ReportInput input{&s, &analysis};
     const std::vector<report::ReportInput> inputs{input};
     return report::full_report(inputs);
-  }
-  // The equivalence reference: scalar loop, one thread, materialized traces.
-  static const std::string& scalar_report() {
-    static const std::string r =
-        report_of(analyze_dataset(materialized(), config(1, 1)));
-    return r;
   }
 };
 
@@ -80,7 +72,7 @@ TEST_F(BatchTest, MemorySourceBatchedReportsMatchScalar) {
       SCOPED_TRACE("batch=" + std::to_string(batch) +
                    " threads=" + std::to_string(threads));
       const DatasetAnalysis a = analyze_dataset(sources, config(threads, batch));
-      EXPECT_EQ(report_of(a), scalar_report());
+      EXPECT_TRUE(golden::report_matches("D3", spec(), a));
     }
   }
 }
@@ -90,14 +82,14 @@ TEST_F(BatchTest, SyntheticSourceBatchedReportsMatchScalar) {
   // double_buffer toggle covers both the inline and the producer-thread
   // regeneration paths feeding pull_batch.
   for (const bool double_buffer : {false, true}) {
-    const SyntheticTraceSourceSet sources(small_spec(), model(), {3, double_buffer});
+    const SyntheticTraceSourceSet sources(spec(), model(), {3, double_buffer});
     for (const std::size_t batch : kBatchSizes) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE("double_buffer=" + std::to_string(double_buffer) +
                      " batch=" + std::to_string(batch) +
                      " threads=" + std::to_string(threads));
         const DatasetAnalysis a = analyze_dataset(sources, config(threads, batch));
-        EXPECT_EQ(report_of(a), scalar_report());
+        EXPECT_TRUE(golden::report_matches("D3", spec(), a));
       }
     }
   }
@@ -106,25 +98,23 @@ TEST_F(BatchTest, SyntheticSourceBatchedReportsMatchScalar) {
 TEST_F(BatchTest, PcapFileSourceBatchedReportsMatchScalar) {
   const auto dir = std::filesystem::temp_directory_path() / "entrace_batch_pcaps";
   std::filesystem::create_directories(dir);
-  const DatasetSpec spec = small_spec();
-  const std::vector<std::string> paths = generate_dataset_to_pcap(spec, model(), dir.string());
-  const std::vector<TracePlan> plans = plan_dataset(spec);
+  const std::vector<std::string> paths = generate_dataset_to_pcap(spec(), model(), dir.string());
+  const std::vector<TracePlan> plans = plan_dataset(spec());
   ASSERT_EQ(paths.size(), plans.size());
   std::vector<PcapTraceSpec> files;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     files.push_back({paths[i], plans[i].name, plans[i].subnet});
   }
-  const PcapFileSourceSet sources(spec.name, std::move(files));
+  const PcapFileSourceSet sources(spec().name, std::move(files));
 
-  // The pcap reference is the same files through the scalar loop (usec
-  // timestamp quantization makes the materialized reference inapplicable).
-  const std::string scalar_pcap = report_of(analyze_dataset(sources, config(1, 1)));
-  for (const std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
+  // Capture files have their own pinned route: usec timestamp quantization
+  // gives them a different report than the nanosecond-exact packets.
+  for (const std::size_t batch : kBatchSizes) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE("batch=" + std::to_string(batch) +
                    " threads=" + std::to_string(threads));
       const DatasetAnalysis a = analyze_dataset(sources, config(threads, batch));
-      EXPECT_EQ(report_of(a), scalar_pcap);
+      EXPECT_TRUE(golden::report_matches("D3/pcap", spec(), a));
     }
   }
   std::filesystem::remove_all(dir);
@@ -134,8 +124,8 @@ TEST_F(BatchTest, PcapFileSourceBatchedReportsMatchScalar) {
 
 // The batched decode stage pre-validates capture bounds before its in-place
 // field loads; corrupted captures are where that validation earns its keep.
-// Across 8 corruption seeds the batched pipeline must reproduce the scalar
-// loop's full report AND its exact anomaly taxonomy.
+// Across 8 corruption seeds every batch size must reproduce the one-packet
+// batch's full report AND its exact anomaly taxonomy.
 TEST_F(BatchTest, CorruptedTracesBatchedMatchScalarTaxonomy) {
   const std::array<std::uint64_t, 8> seeds = {1, 2, 3, 5, 8, 13, 21, 34};
   for (const std::uint64_t seed : seeds) {
@@ -146,24 +136,28 @@ TEST_F(BatchTest, CorruptedTracesBatchedMatchScalarTaxonomy) {
     cc.rate = 0.1;
     corrupt_dataset(corrupted, cc);
 
-    const DatasetAnalysis scalar = analyze_dataset(corrupted, config(1, 1));
-    const DatasetAnalysis batched = analyze_dataset(corrupted, config(1, 256));
-    EXPECT_EQ(batched.quality.anomalies.as_map(), scalar.quality.anomalies.as_map());
-    EXPECT_EQ(batched.quality, scalar.quality);
-    EXPECT_EQ(report_of(batched), report_of(scalar));
+    const DatasetAnalysis one = analyze_dataset(corrupted, config(1, 1));
+    const std::string one_report = report_of(one);
+    for (const std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch));
+      const DatasetAnalysis batched = analyze_dataset(corrupted, config(1, batch));
+      EXPECT_EQ(batched.quality.anomalies.as_map(), one.quality.anomalies.as_map());
+      EXPECT_EQ(batched.quality, one.quality);
+      EXPECT_EQ(report_of(batched), one_report);
+    }
   }
 }
 
 // ---- shard -> snapshot -> merge ---------------------------------------------
 
 // Shards computed by the batched pipeline, snapshotted to disk and merged
-// back (entrace_shard / entrace_merge style) must fold to the scalar
+// back (entrace_shard / entrace_merge style) must fold to the pinned
 // single-process report.
 TEST_F(BatchTest, ShardSnapshotMergeBatchedMatchesScalar) {
-  const SyntheticTraceSourceSet sources(small_spec(), model(), {3});
+  const SyntheticTraceSourceSet sources(spec(), model(), {3});
   const std::size_t n = sources.size();
   ASSERT_GE(n, 2u);
-  const snap::SnapshotMeta meta{small_spec().name, 0.004, static_cast<std::uint32_t>(n)};
+  const snap::SnapshotMeta meta{spec().name, golden::kScale, static_cast<std::uint32_t>(n)};
 
   // Two shard files, split mid-dataset, both analyzed with the batched loop.
   const std::size_t cut = n / 2;
@@ -195,9 +189,9 @@ TEST_F(BatchTest, ShardSnapshotMergeBatchedMatchesScalar) {
   shards.reserve(all.size());
   for (auto& s : all) shards.push_back(std::move(s.shard));
   const DatasetAnalysis merged =
-      fold_shards(small_spec().name, std::move(shards), config(1, 256));
+      fold_shards(spec().name, std::move(shards), config(1, 256));
 
-  EXPECT_EQ(report_of(merged), scalar_report());
+  EXPECT_TRUE(golden::report_matches("D3", spec(), merged));
   for (const std::string& p : paths) std::filesystem::remove(p);
 }
 

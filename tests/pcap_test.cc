@@ -298,9 +298,37 @@ TEST(Trace, ApplySnaplen) {
   EXPECT_GT(t.packets[0].wire_len, 68u);
 }
 
+// What a merged stream delivered, per packet (views die on the next call).
+struct Delivered {
+  double ts;
+  std::size_t bytes;
+  std::uint32_t source;
+};
+
+// Drains `stream` through next_batch, batch size 3 (the final batch comes up
+// short), and checks that the stream stays drained: next_batch keeps
+// returning 0.
+std::vector<Delivered> drain(MergedPacketStream& stream) {
+  std::vector<PacketView> views(3);
+  std::vector<Delivered> out;
+  while (const std::size_t got = stream.next_batch(views.data(), views.size())) {
+    for (std::size_t i = 0; i < got; ++i) {
+      out.push_back({views[i].ts, views[i].data.size(), views[i].source});
+    }
+  }
+  EXPECT_EQ(stream.next_batch(views.data(), views.size()), 0u);  // stays drained
+  return out;
+}
+
+std::vector<double> timestamps(const std::vector<Delivered>& d) {
+  std::vector<double> out;
+  for (const Delivered& x : d) out.push_back(x.ts);
+  return out;
+}
+
 // The old TraceSet::merged() materialized a pointer vector over every
 // packet of every trace; merged_stream() is its streaming replacement — a
-// k-way merge holding one packet per source.
+// k-way merge holding one buffered batch per source.
 TEST(MergedPacketStream, InterleavesTracesInTimestampOrder) {
   TraceSet set;
   Trace a, b;
@@ -313,16 +341,13 @@ TEST(MergedPacketStream, InterleavesTracesInTimestampOrder) {
   EXPECT_EQ(set.total_packets(), 4u);
 
   MergedPacketStream stream = merged_stream(set);
-  std::vector<double> order;
-  while (const RawPacket* pkt = stream.next()) order.push_back(pkt->ts);
   const std::vector<double> expected{1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(order, expected);
-  EXPECT_EQ(stream.next(), nullptr);  // stays drained
+  EXPECT_EQ(timestamps(drain(stream)), expected);
 }
 
 TEST(MergedPacketStream, EqualTimestampsKeepSourceOrder) {
   // Ties resolve by source index (the stable order the old merged() kept),
-  // and each returned pointer must stay valid until the next pull.
+  // and each view is attributed to its sub-source.
   Trace a, b;
   a.packets.push_back(sample_packet(1.0, 16));
   a.packets.push_back(sample_packet(2.0, 16));
@@ -335,11 +360,17 @@ TEST(MergedPacketStream, EqualTimestampsKeepSourceOrder) {
   MergedPacketStream stream{std::move(sources)};
 
   std::vector<std::size_t> sizes;
-  while (const RawPacket* pkt = stream.next()) sizes.push_back(pkt->data.size());
+  std::vector<std::uint32_t> origin;
+  for (const Delivered& d : drain(stream)) {
+    sizes.push_back(d.bytes);
+    origin.push_back(d.source);
+  }
   const std::size_t s16 = sample_packet(0, 16).data.size();
   const std::size_t s48 = sample_packet(0, 48).data.size();
   const std::vector<std::size_t> expected{s48, s16, s48, s16};
   EXPECT_EQ(sizes, expected);
+  const std::vector<std::uint32_t> expected_origin{0, 1, 0, 1};
+  EXPECT_EQ(origin, expected_origin);
 }
 
 TEST(MergedPacketStream, StreamsPcapFilesWithoutLoadingThem) {
@@ -357,10 +388,8 @@ TEST(MergedPacketStream, StreamsPcapFilesWithoutLoadingThem) {
   sources.push_back(std::make_unique<PcapFileSource>(p1));
   sources.push_back(std::make_unique<PcapFileSource>(p2));
   MergedPacketStream stream{std::move(sources)};
-  std::vector<double> order;
-  while (const RawPacket* pkt = stream.next()) order.push_back(pkt->ts);
   const std::vector<double> expected{1.0, 2.0, 3.0, 5.0};
-  EXPECT_EQ(order, expected);
+  EXPECT_EQ(timestamps(drain(stream)), expected);
   std::remove(p1.c_str());
   std::remove(p2.c_str());
 }

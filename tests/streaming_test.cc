@@ -9,6 +9,7 @@
 // end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -49,16 +50,42 @@ class StreamingTest : public ::testing::Test {
   }
 };
 
+// Drains `source` through next_batch in batches of `batch`, copying each
+// view; afterwards the source must stay drained.
+std::vector<RawPacket> drain(PacketSource& source, std::size_t batch) {
+  std::vector<PacketView> views(batch);
+  std::vector<RawPacket> out;
+  while (const std::size_t got = source.next_batch(views.data(), batch)) {
+    for (std::size_t i = 0; i < got; ++i) {
+      const PacketView& v = views[i];
+      out.push_back({v.ts, v.wire_len, {v.data.begin(), v.data.end()}});
+    }
+  }
+  EXPECT_EQ(source.next_batch(views.data(), batch), 0u) << "source must stay drained";
+  return out;
+}
+
 TEST_F(StreamingTest, MemoryTraceSourceIsZeroCopy) {
   const Trace& trace = materialized().traces.front();
   MemoryTraceSource source(trace);
   EXPECT_EQ(source.meta().name, trace.name);
   EXPECT_EQ(source.meta().subnet_id, trace.subnet_id);
   EXPECT_EQ(source.meta().snaplen, trace.snaplen);
-  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
-    ASSERT_EQ(source.next(), &trace.packets[i]);  // pointer into the trace itself
+  // An odd batch size leaves a ragged final batch.
+  std::vector<PacketView> views(7);
+  std::size_t i = 0;
+  while (const std::size_t got = source.next_batch(views.data(), views.size())) {
+    for (std::size_t k = 0; k < got; ++k, ++i) {
+      ASSERT_LT(i, trace.packets.size());
+      // The view aliases the trace's own bytes.
+      ASSERT_EQ(views[k].data.data(), trace.packets[i].data.data()) << "packet " << i;
+      ASSERT_EQ(views[k].data.size(), trace.packets[i].data.size()) << "packet " << i;
+      ASSERT_EQ(views[k].ts, trace.packets[i].ts) << "packet " << i;
+      ASSERT_EQ(views[k].wire_len, trace.packets[i].wire_len) << "packet " << i;
+    }
   }
-  EXPECT_EQ(source.next(), nullptr);
+  EXPECT_EQ(i, trace.packets.size());
+  EXPECT_EQ(source.next_batch(views.data(), views.size()), 0u);
 }
 
 TEST_F(StreamingTest, SyntheticSourceReproducesMaterializedTraceExactly) {
@@ -73,15 +100,13 @@ TEST_F(StreamingTest, SyntheticSourceReproducesMaterializedTraceExactly) {
       SyntheticTraceSource source(spec, model(), plans[t], {slices});
       EXPECT_EQ(source.meta().name, want.name);
       EXPECT_EQ(source.meta().subnet_id, want.subnet_id);
-      std::size_t i = 0;
-      while (const RawPacket* pkt = source.next()) {
-        ASSERT_LT(i, want.packets.size()) << "trace " << t;
-        ASSERT_DOUBLE_EQ(pkt->ts, want.packets[i].ts) << "trace " << t << " packet " << i;
-        ASSERT_EQ(pkt->wire_len, want.packets[i].wire_len) << "trace " << t << " packet " << i;
-        ASSERT_EQ(pkt->data, want.packets[i].data) << "trace " << t << " packet " << i;
-        ++i;
+      const std::vector<RawPacket> got = drain(source, 64);
+      ASSERT_EQ(got.size(), want.packets.size()) << "trace " << t;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_DOUBLE_EQ(got[i].ts, want.packets[i].ts) << "trace " << t << " packet " << i;
+        ASSERT_EQ(got[i].wire_len, want.packets[i].wire_len) << "trace " << t << " packet " << i;
+        ASSERT_EQ(got[i].data, want.packets[i].data) << "trace " << t << " packet " << i;
       }
-      EXPECT_EQ(i, want.packets.size()) << "trace " << t;
     }
   }
 }
@@ -97,15 +122,13 @@ TEST_F(StreamingTest, PcapFileSourceMatchesLoadedTrace) {
 
   PcapFileSource source(path, "t", 4);
   EXPECT_EQ(source.meta().snaplen, loaded->snaplen);
-  std::size_t i = 0;
-  while (const RawPacket* pkt = source.next()) {
-    ASSERT_LT(i, loaded->packets.size());
-    ASSERT_EQ(pkt->ts, loaded->packets[i].ts);
-    ASSERT_EQ(pkt->wire_len, loaded->packets[i].wire_len);
-    ASSERT_EQ(pkt->data, loaded->packets[i].data);
-    ++i;
+  const std::vector<RawPacket> got = drain(source, 64);
+  ASSERT_EQ(got.size(), loaded->packets.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].ts, loaded->packets[i].ts) << "packet " << i;
+    ASSERT_EQ(got[i].wire_len, loaded->packets[i].wire_len) << "packet " << i;
+    ASSERT_EQ(got[i].data, loaded->packets[i].data) << "packet " << i;
   }
-  EXPECT_EQ(i, loaded->packets.size());
   EXPECT_EQ(source.anomalies(), loaded->file_anomalies);
   std::filesystem::remove(path);
 }
@@ -124,12 +147,53 @@ TEST_F(StreamingTest, PcapFileSourceSalvagesTruncatedTailLikeTryLoad) {
   ASSERT_TRUE(loaded.has_value()) << error;
 
   PcapFileSource source(path, "cut", 4);
-  std::size_t streamed = 0;
-  while (source.next() != nullptr) ++streamed;
-  EXPECT_EQ(streamed, loaded->packets.size());
+  EXPECT_EQ(drain(source, 64).size(), loaded->packets.size());
   EXPECT_EQ(source.anomalies(), loaded->file_anomalies);
   EXPECT_TRUE(source.anomalies().any());
   std::filesystem::remove(path);
+}
+
+// Sub-sources cut into 3 slices return short batches at every slice
+// boundary, so the merge refills mid-stream; the merged sequence must still
+// be the stable sort of all traces by (timestamp, source index).
+TEST_F(StreamingTest, MergedSyntheticSourcesFollowTimestampThenSourceOrder) {
+  struct Tagged {
+    const RawPacket* pkt;
+    std::uint32_t source;
+  };
+  std::vector<Tagged> want;
+  const TraceSet& traces = materialized();
+  for (std::size_t t = 0; t < traces.traces.size(); ++t) {
+    for (const RawPacket& p : traces.traces[t].packets) {
+      want.push_back({&p, static_cast<std::uint32_t>(t)});
+    }
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [](const Tagged& a, const Tagged& b) { return a.pkt->ts < b.pkt->ts; });
+
+  const SyntheticTraceSourceSet sources(small_spec(), model(), {3});
+  for (const std::size_t batch : {std::size_t{7}, std::size_t{256}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    std::vector<std::unique_ptr<PacketSource>> opened;
+    for (std::size_t i = 0; i < sources.size(); ++i) opened.push_back(sources.open(i));
+    MergedPacketStream merged(std::move(opened));
+    std::vector<PacketView> views(batch);
+    std::size_t i = 0;
+    while (const std::size_t got = merged.next_batch(views.data(), batch)) {
+      for (std::size_t k = 0; k < got; ++k, ++i) {
+        ASSERT_LT(i, want.size());
+        const PacketView& v = views[k];
+        ASSERT_EQ(v.ts, want[i].pkt->ts) << "packet " << i;
+        ASSERT_EQ(v.source, want[i].source) << "packet " << i;
+        ASSERT_EQ(v.wire_len, want[i].pkt->wire_len) << "packet " << i;
+        ASSERT_TRUE(std::equal(v.data.begin(), v.data.end(), want[i].pkt->data.begin(),
+                               want[i].pkt->data.end()))
+            << "packet " << i;
+      }
+    }
+    EXPECT_EQ(i, want.size());
+    EXPECT_EQ(merged.next_batch(views.data(), batch), 0u);
+  }
 }
 
 TEST_F(StreamingTest, PcapFileSourceThrowsOnUnopenableFile) {

@@ -30,8 +30,8 @@
 //
 //   $ entrace_daemon [D0|..|D4] [scale] --out DIR [--window SEC] [--speedup X]
 //                    [--http-port P] [--retain K] [--sketch-every K] [--max-windows N]
-//                    [--threads N] [--repeat R] [--batch N] [--fake-clock]
-//                    [--exact] [--metrics-out file]
+//                    [--threads N] [--repeat R] [--fake-clock] [--exact]
+//                    [--metrics-out file]
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -67,8 +67,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [D0|D1|D2|D3|D4] [scale] --out DIR [--window SEC] [--speedup X]\n"
       "          [--http-port P] [--retain K] [--sketch-every K] [--max-windows N]\n"
-      "          [--threads N] [--repeat R] [--batch N] [--fake-clock] [--exact]\n"
-      "          [--metrics-out file]\n"
+      "          [--threads N] [--repeat R] [--fake-clock] [--exact] [--metrics-out file]\n"
       "  replays the dataset as a paced live stream, rotating and checkpointing\n"
       "  one .esnap window every SEC seconds of capture time; SIGTERM drains.\n"
       "  --retain K       tier-0: newest K full window checkpoints (0 = none;\n"
@@ -94,14 +93,6 @@ class TimeShiftedSource final : public PacketSource {
   const AnomalyCounts& anomalies() const override { return inner_->anomalies(); }
 
  protected:
-  const RawPacket* pull() override {
-    const RawPacket* pkt = inner_->next();
-    if (pkt == nullptr) return nullptr;
-    shifted_ = *pkt;
-    shifted_.ts += offset_;
-    return &shifted_;
-  }
-
   std::size_t pull_batch(PacketView* out, std::size_t n) override {
     const std::size_t got = inner_->next_batch(out, n);
     for (std::size_t i = 0; i < got; ++i) out[i].ts += offset_;
@@ -112,7 +103,6 @@ class TimeShiftedSource final : public PacketSource {
   std::unique_ptr<PacketSource> inner_;
   double offset_;
   TraceMeta meta_;
-  RawPacket shifted_;
 };
 
 // Replays the merged dataset --repeat times, each cycle time-shifted by the
@@ -134,14 +124,6 @@ class RepeatingMergedSource final : public PacketSource {
   const AnomalyCounts& anomalies() const override { return current_->anomalies(); }
 
  protected:
-  const RawPacket* pull() override {
-    for (;;) {
-      const RawPacket* pkt = current_->next();
-      if (pkt != nullptr) return pkt;
-      if (!next_cycle()) return nullptr;
-    }
-  }
-
   std::size_t pull_batch(PacketView* out, std::size_t n) override {
     for (;;) {
       const std::size_t got = current_->next_batch(out, n);
@@ -313,7 +295,6 @@ int main(int argc, char** argv) {
   std::uint64_t max_windows = 0;   // 0 = until the stream ends
   std::uint64_t threads = 0;
   std::uint64_t repeat = 1;
-  std::uint64_t batch = 256;
   bool fake_clock = false, exact = false;
   bool parse_error = false;
 
@@ -354,8 +335,6 @@ int main(int argc, char** argv) {
       uint_value(threads);
     } else if (has_value("--repeat")) {
       uint_value(repeat);
-    } else if (has_value("--batch")) {
-      uint_value(batch);
     } else if (has_value("--metrics-out")) {
       metrics_out = argv[++i];
     } else if (std::strcmp(argv[i], "--fake-clock") == 0) {
@@ -378,8 +357,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--out DIR is required (window checkpoints land there)\n");
     return usage(argv[0]);
   }
-  if (window_seconds <= 0.0 || repeat < 1 || batch == 0) {
-    std::fprintf(stderr, "--window must be > 0, --repeat >= 1, --batch >= 1\n");
+  if (window_seconds <= 0.0 || repeat < 1) {
+    std::fprintf(stderr, "--window must be > 0, --repeat >= 1\n");
     return usage(argv[0]);
   }
   if (serve_http && http_port > 65535) {
@@ -437,7 +416,6 @@ int main(int argc, char** argv) {
 
   AnalyzerConfig config = default_config_for_model(model.site());
   config.threads = static_cast<std::size_t>(threads);
-  config.batch_size = static_cast<std::size_t>(batch);
   IncrementalOptions options;
   options.window_seconds = window_seconds;
   options.evict = !exact;
@@ -526,11 +504,12 @@ int main(int argc, char** argv) {
     publish_retention();
   };
 
-  std::vector<PacketView> views(batch);
+  constexpr std::size_t kIngestBatch = 256;  // views per merged next_batch
+  std::vector<PacketView> views(kIngestBatch);
   std::uint64_t packets = 0;
   bool source_drained = false;
   while (g_stop == 0) {
-    const std::size_t got = paced.next_batch(views.data(), batch);
+    const std::size_t got = paced.next_batch(views.data(), views.size());
     if (got == 0) {
       source_drained = true;
       break;
