@@ -16,7 +16,7 @@ std::string CoverageManifest::missing_ranges() const {
     while (j + 1 < missing.size() && missing[j + 1] == missing[j] + 1) ++j;
     if (!out.empty()) out += ", ";
     out += std::to_string(missing[i]);
-    if (j > i) out += "-" + std::to_string(missing[j]);
+    if (j > i) out.append("-").append(std::to_string(missing[j]));
     i = j + 1;
   }
   return out;

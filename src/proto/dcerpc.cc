@@ -162,9 +162,10 @@ std::vector<std::uint8_t> encode_dce_response_stub(std::uint32_t call_id,
 
 std::vector<std::uint8_t> encode_epm_map_stub(const DceUuid& iface, Ipv4Address server,
                                               std::uint16_t port) {
-  std::vector<std::uint8_t> out;
+  // Seeded from the UUID rather than appended: gcc 12 at -O3 misreads the
+  // insert into an empty vector as an overflow (-Wstringop-overflow).
+  std::vector<std::uint8_t> out(iface.begin(), iface.end());
   ByteWriter w(out);
-  w.bytes(std::span<const std::uint8_t>(iface.data(), iface.size()));
   w.u32be(server.value());
   w.u16be(port);
   return out;

@@ -438,8 +438,10 @@ class WorkerFleet {
  public:
   explicit WorkerFleet(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
+      std::string name = "w";
+      name += std::to_string(i);
       cluster::WorkerConfig config;
-      config.name = "w" + std::to_string(i);
+      config.name = std::move(name);
       servers_.push_back(std::make_unique<cluster::WorkerServer>(config));
       endpoints_.push_back("127.0.0.1:" + std::to_string(servers_.back()->port()));
     }

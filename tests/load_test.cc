@@ -8,7 +8,7 @@ namespace {
 
 TEST(Load, PeakDropsWithWiderTimescale) {
   TraceLoadRaw raw;
-  raw.trace_name = "t";
+  raw.trace_name = std::string("t");
   // One 1-second burst of 50 Mb inside an otherwise quiet minute.
   raw.add_packet(10.2, 6250000);  // 50 Mbit in one packet-equivalent
   for (int i = 0; i < 60; ++i) raw.add_packet(i + 0.5, 125);  // 1 kbit/s background
@@ -24,7 +24,7 @@ TEST(Load, PeakDropsWithWiderTimescale) {
 
 TEST(Load, TypicalUtilizationOrdersBelowPeak) {
   TraceLoadRaw raw;
-  raw.trace_name = "t";
+  raw.trace_name = std::string("t");
   for (int i = 0; i < 600; ++i) raw.add_packet(i * 0.1, 1250);  // ~100 kbps steady
   raw.add_packet(30.0, 12500000);                               // one 100 Mb spike
   LoadAnalysis load = LoadAnalysis::compute({raw}, 1);

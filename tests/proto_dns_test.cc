@@ -130,7 +130,8 @@ TEST(DnsParser, InterleavedTransactions) {
   for (std::uint16_t id : {1, 2, 3}) {
     DnsMessage q;
     q.id = id;
-    q.qname = "h" + std::to_string(id) + ".example";
+    q.qname = "h";
+    q.qname += std::to_string(id) + ".example";
     const auto w = encode_dns(q);
     parser.on_data(conn, Direction::kOrigToResp, id, w);
   }
@@ -139,7 +140,8 @@ TEST(DnsParser, InterleavedTransactions) {
     DnsMessage r;
     r.id = id;
     r.is_response = true;
-    r.qname = "h" + std::to_string(id) + ".example";
+    r.qname = "h";
+    r.qname += std::to_string(id) + ".example";
     const auto w = encode_dns(r);
     parser.on_data(conn, Direction::kRespToOrig, 10.0 + id, w);
   }

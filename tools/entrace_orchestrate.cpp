@@ -91,12 +91,13 @@ void spawn_loopback_workers(const std::string& worker_bin, const std::string& wo
   std::filesystem::create_directories(work_dir);
   std::vector<std::string> port_files;
   for (std::size_t w = 0; w < count; ++w) {
+    std::string name = "w";
+    name += std::to_string(w);
     const std::string port_file =
         (std::filesystem::path(work_dir) / ("worker_" + std::to_string(w) + ".port")).string();
     std::error_code ec;
     std::filesystem::remove(port_file, ec);
-    std::vector<std::string> argv = {worker_bin, "--port-file", port_file, "--name",
-                                     "w" + std::to_string(w)};
+    std::vector<std::string> argv = {worker_bin, "--port-file", port_file, "--name", name};
     if (verbose) argv.push_back("--verbose");
     spawned.push_back(util::Subprocess::spawn(argv));
     port_files.push_back(port_file);
