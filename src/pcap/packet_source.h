@@ -6,9 +6,7 @@
 // metadata the analyzer needs up front (name, subnet, snaplen, capture
 // window) and the source-layer anomalies accumulated while reading, so the
 // analyzer can run the fused single-decode pass without ever holding a
-// trace in memory.  next_batch() is the only ingest call; a batch of one is
-// a parameter of it (AnalyzerConfig::batch_size), not a second API.
-// Implementations:
+// trace in memory.  Implementations:
 //
 //   - MemoryTraceSource    adapts an in-memory Trace (views alias the
 //                          Trace's own packets; keeps every TraceSet caller
