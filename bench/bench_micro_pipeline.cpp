@@ -1,71 +1,55 @@
-// Micro-benchmarks (google-benchmark) of the pipeline's hot components:
-// frame decode, flow-table processing, application parsing, pcap I/O, and
-// trace generation throughput — plus two studies that run first, before the
-// google-benchmark suite:
+// The pipeline's performance studies, one table row each (kStudies below),
+// plus google-benchmark micro-benchmarks of its hot components (study
+// "micro": frame decode, flow table, application parsing, pcap I/O, trace
+// generation).
 //
-//   1. a peak-memory study comparing materialize-then-analyze against the
-//      streaming SyntheticTraceSourceSet path on a scaled-up D1 (each
-//      measurement in a fork()ed child so getrusage's lifetime ru_maxrss
-//      high-water mark is per-workload, not per-process),
-//   2. a snapshot shard study: D1 analyzed by 1/2/4/8 fork()ed shard
-//      processes (each writing a .esnap via src/snapshot), then decoded and
-//      folded in the parent — .esnap encode/decode throughput plus the
-//      multi-process speedup of shard + merge over one process,
-//   3. a telemetry overhead study: analyze_dataset on D1 with
-//      AnalyzerConfig::collect_metrics on vs off (budget: <= 2%),
-//   4. an orchestration study: the fault-tolerant supervisor
-//      (src/orchestrate) on D0 at 0/10/20% per-attempt fault injection
-//      vs an in-process direct analysis — supervision overhead plus the
-//      wall-clock cost of crash/hang/truncate/corrupt recovery,
-//   5. a pipeline scaling study measuring analyze_dataset at 1, 2 and N
-//      threads against the seed's two-pass double-decode baseline.
+//   bench_micro_pipeline [--study NAME[,NAME...]] [--smoke] [--benchmark_* ...]
 //
-// All of these write into BENCH_pipeline.json (the scaling study holds the
-// pen).  Pass --scaling-only to skip the google-benchmark suite,
-// --snapshot-only to stop after the snapshot study, --memory-only to stop
-// right after the memory study.  Knobs: ENTRACE_MEM_SCALE (D1 scale for
-// the memory study), ENTRACE_MEM_SLICES (regeneration slices),
-// ENTRACE_SNAP_SCALE (D1 scale for the shard study), ENTRACE_BENCH_REPS.
+// --study picks studies by name (default: all; --help lists them).  The
+// runner decides the order: every study that fork()s runs before any study
+// that may create a thread, whatever order the names were given in, and it
+// refuses to start a forking study once the process has a second thread.
+// Each study interleaves its configurations over ENTRACE_BENCH_REPS reps
+// (default 5) and reports the median and interquartile range of every
+// measured value; the sections of the studies that ran are written to
+// BENCH_pipeline.json.  ENTRACE_SCALE sizes the batch and scaling studies;
+// every other study has a fixed scale in its row.  --smoke runs the selected
+// studies once at a tiny scale, without hang injection, and writes no JSON.
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <memory>
-#include <set>
-#include <string>
-#include <thread>
-#include <vector>
-
-#ifdef __unix__
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "bench_common.h"
 #include "cluster/coordinator.h"
 #include "cluster/worker.h"
-#include "core/analyzer.h"
 #include "core/incremental.h"
-#include "snapshot/retention.h"
-#include "snapshot/window.h"
-#include "orchestrate/supervisor.h"
 #include "flow/flow_table.h"
 #include "net/decoder.h"
-#include "net/encoder.h"
+#include "orchestrate/supervisor.h"
 #include "pcap/reader.h"
 #include "pcap/writer.h"
 #include "proto/dns.h"
 #include "proto/http.h"
 #include "snapshot/reader.h"
+#include "snapshot/retention.h"
+#include "snapshot/window.h"
 #include "snapshot/writer.h"
-#include "synth/generator.h"
-#include "synth/synth_source.h"
-#include "util/cli.h"
-#include "util/thread_pool.h"
+#include "util/stats.h"
+#include "util/strings.h"
 
 namespace entrace {
 namespace {
@@ -203,269 +187,265 @@ void BM_DnsEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_DnsEncodeDecode);
 
-// ---- pipeline scaling study -------------------------------------------------
+// ---- study support: JSON values, reps, timing ---------------------------------
 
-// The seed's serial two-pass pipeline, preserved here as the baseline: a
-// tally/scanner pass and a flow/app pass, each calling decode_packet —
-// i.e. every packet decoded twice.
-DatasetAnalysis analyze_dataset_twopass_baseline(const TraceSet& traces,
-                                                 const AnalyzerConfig& config) {
-  DatasetAnalysis out;
-  out.name = traces.dataset_name;
-  out.site = config.site;
+// A JSON value: a scalar rendered when it is constructed, or an
+// insertion-ordered object (the default) or array.
+class Json {
+ public:
+  Json() = default;
+  template <typename T>
+    requires std::is_arithmetic_v<T> || std::is_convertible_v<T, std::string>
+  Json(const T& v) : scalar_(render_scalar(v)) {}  // implicit: set("k", 1.5) reads well
+  static Json array() {
+    Json j;
+    j.array_ = true;
+    return j;
+  }
 
-  ScannerDetector detector(config.scanner);
-  for (Ipv4Address known : config.site.known_scanners) detector.add_known_scanner(known);
-  for (const Trace& trace : traces.traces) {
-    if (trace.subnet_id >= 0) out.monitored_subnets.push_back(trace.subnet_id);
-    for (const RawPacket& pkt : trace.packets) {
-      ++out.total_packets;
-      out.total_wire_bytes += pkt.wire_len;
-      auto decoded = decode_packet(pkt);
-      if (!decoded) continue;
-      out.l3.add(decoded->l3);
-      if (decoded->l3 != L3Kind::kIpv4) continue;
-      ++out.ip_proto_packets[decoded->ip_proto];
-      detector.observe(decoded->src, decoded->dst);
-      for (const Ipv4Address addr : {decoded->src, decoded->dst}) {
-        if (addr.is_multicast() || addr.is_broadcast()) continue;
-        if (config.site.is_internal(addr)) {
-          out.lbnl_hosts.insert(addr.value());
-          if (config.site.subnet_of(addr) == trace.subnet_id)
-            out.monitored_hosts.insert(addr.value());
-        } else {
-          out.remote_hosts.insert(addr.value());
-        }
-      }
+  Json& set(const std::string& key, Json v) {
+    members_.emplace_back(key, std::move(v));
+    return *this;
+  }
+  Json& push(Json v) { return set("", std::move(v)); }
+  void merge(const Json& other) {
+    members_.insert(members_.end(), other.members_.begin(), other.members_.end());
+  }
+  bool empty() const { return scalar_.empty() && members_.empty(); }
+
+  // An object holding containers puts one member per line; array items, and
+  // everything inside them, stay on one line.
+  std::string render(std::size_t indent = 0, bool one_line = false) const {
+    if (!scalar_.empty()) return scalar_;
+    const bool flat = one_line || std::all_of(members_.begin(), members_.end(), [](const auto& m) {
+                        return !m.second.scalar_.empty();
+                      });
+    std::string out(1, array_ ? '[' : '{');
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      if (i > 0) out += flat ? ", " : ",";
+      if (!flat) out += "\n" + std::string(indent + 2, ' ');
+      if (!array_) out += "\"" + members_[i].first + "\": ";
+      out += members_[i].second.render(indent + 2, flat || array_);
+    }
+    if (!flat) out += "\n" + std::string(indent, ' ');
+    return out + (array_ ? ']' : '}');
+  }
+
+ private:
+  template <typename T>
+  static std::string render_scalar(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return v ? "true" : "false";
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      // Whole numbers exactly, rates to 0.1, everything else to 6 digits.
+      const double d = static_cast<double>(v);
+      if (!std::isfinite(d)) return "null";
+      char buf[48];
+      std::snprintf(buf, sizeof(buf),
+                    d == std::floor(d) && std::fabs(d) < 1e15 ? "%.0f"
+                    : std::fabs(d) >= 1000                    ? "%.1f"
+                                                              : "%.6g",
+                    d);
+      return buf;
+    } else {
+      return "\"" + std::string(v) + "\"";  // labels and names: plain ASCII
     }
   }
-  out.scanners = detector.scanners();
 
-  for (const Trace& trace : traces.traces) {
-    const bool payload = config.payload_analysis.value_or(trace.snaplen >= 200);
-    ProtocolDispatcher dispatcher(out.registry, out.events, payload);
-    auto table = std::make_unique<FlowTable>(config.flow, &dispatcher);
-    TraceLoadRaw load;
-    load.trace_name = trace.name;
-    for (const RawPacket& pkt : trace.packets) {
-      auto decoded = decode_packet(pkt);
-      if (!decoded) continue;
-      load.add_packet(pkt.ts, pkt.wire_len);
-      if (decoded->l3 != L3Kind::kIpv4) continue;
-      const PacketVerdict verdict = table->process(*decoded);
-      if (verdict.conn != nullptr && decoded->is_tcp()) {
-        const bool wan = !config.site.is_internal(verdict.conn->key.src) ||
-                         !config.site.is_internal(verdict.conn->key.dst);
-        if (verdict.keepalive_retx) {
-          ++load.keepalive_excluded;
-        } else {
-          auto& pkts = wan ? load.wan_tcp_pkts : load.ent_tcp_pkts;
-          auto& retx = wan ? load.wan_retx : load.ent_retx;
-          ++pkts;
-          if (verdict.tcp_retransmission) ++retx;
-        }
+  std::string scalar_;
+  bool array_ = false;
+  std::vector<std::pair<std::string, Json>> members_;
+};
+
+// One configuration's measurements: each named value keeps one sample per
+// rep and is reported as its median and interquartile range (type-7
+// quantiles, util/stats.h).
+class Samples {
+ public:
+  void add(const std::string& name, double v) {
+    for (auto& [n, xs] : series_) {
+      if (n == name) {
+        xs.push_back(v);
+        return;
       }
     }
-    table->flush();
-    out.load_raw.push_back(std::move(load));
-    out.tables.push_back(std::move(table));
+    series_.push_back({name, {v}});
+  }
+  const std::vector<double>& values(const std::string& name) const {
+    for (const auto& [n, xs] : series_) {
+      if (n == name) return xs;
+    }
+    throw std::logic_error("no samples named " + name);
+  }
+  double median(const std::string& name) const { return quantile(name, 0.5); }
+  double iqr(const std::string& name) const {
+    return quantile(name, 0.75) - quantile(name, 0.25);
+  }
+  // `row` plus "<name>": median and "<name>_iqr" for every value, in
+  // first-seen order.
+  Json with(Json row) const {
+    for (const auto& series : series_) {
+      row.set(series.first, median(series.first)).set(series.first + "_iqr", iqr(series.first));
+    }
+    return row;
+  }
+  // The same as one human-readable line.
+  std::string summary() const {
+    std::string out;
+    for (const auto& series : series_) {
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "  %s %.4g (iqr %.2g)", series.first.c_str(),
+                    median(series.first), iqr(series.first));
+      out += buf;
+    }
+    return out;
+  }
+
+ private:
+  double quantile(const std::string& name, double q) const {
+    EmpiricalCdf cdf;
+    for (const double v : values(name)) cdf.add(v);
+    return cdf.quantile(q);
+  }
+
+  std::vector<std::pair<std::string, std::vector<double>>> series_;
+};
+
+// Runs measure(config, samples) for every configuration once per rep, `reps`
+// times over, so machine drift lands on every configuration alike.
+template <typename Fn>
+std::vector<Samples> interleave(std::size_t configs, int reps, const Fn& measure) {
+  std::vector<Samples> out(configs);
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t c = 0; c < configs; ++c) measure(c, out[c]);
   }
   return out;
 }
 
-struct ScalingRun {
-  std::string label;
-  std::size_t threads = 0;
-  std::uint64_t packets = 0;
-  double seconds = 0.0;
-  double pps = 0.0;
-};
-
-template <typename Fn>
-ScalingRun time_run(const std::string& label, std::size_t threads, std::uint64_t packets,
-                    int reps, const Fn& fn) {
-  ScalingRun run{label, threads, packets, 0.0, 0.0};
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (r == 0 || s < best) best = s;
+struct Stopwatch {
+  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
+  double seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   }
-  run.seconds = best;
-  run.pps = best > 0 ? static_cast<double>(packets) / best : 0.0;
-  return run;
-}
-
-using cli::env_double;
-using cli::env_int;
-
-// ---- peak-memory study ------------------------------------------------------
-
-struct MemoryRun {
-  std::string label;
-  std::uint64_t packets = 0;
-  double seconds = 0.0;
-  std::uint64_t peak_rss_kb = 0;
-  bool ok = false;
 };
 
-std::vector<MemoryRun> g_memory_runs;  // picked up by the JSON writer
+// What the runner hands a study.
+struct Run {
+  double scale = 0.0;  // dataset scale
+  int reps = 1;
+  bool smoke = false;  // tiny scale, 1 rep, no hang injection
+};
 
-#ifdef __unix__
-// Run `workload` in a fork()ed child and report its wall time, packet count
-// and peak RSS.  ru_maxrss is a process-lifetime high-water mark, so the
-// only way to measure two workloads independently is to give each its own
-// process; fork happens before any thread is created in this binary.
+// A fresh directory under the system temp dir, removed again on destruction.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path((std::filesystem::temp_directory_path() / name).string()) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  std::string path;
+};
+
+// ---- memory: materialized vs streaming peak RSS -------------------------------
+
+struct ChildRun {
+  double packets = 0, seconds = 0, peak_rss_kb = 0;
+};
+
+// Runs `workload` (returning a packet count) in a fork()ed child.  ru_maxrss
+// is a process-lifetime high-water mark, so each workload needs a process of
+// its own to be measured alone.
 template <typename Fn>
-MemoryRun measure_in_child(const std::string& label, const Fn& workload) {
-  MemoryRun run;
-  run.label = label;
+ChildRun measure_in_child(const Fn& workload) {
   int fds[2];
-  if (pipe(fds) != 0) return run;
+  if (pipe(fds) != 0) throw std::runtime_error("pipe failed");
   const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return run;
-  }
+  if (pid < 0) throw std::runtime_error("fork failed");
   if (pid == 0) {
     close(fds[0]);
-    const auto start = std::chrono::steady_clock::now();
-    const std::uint64_t packets = workload();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    struct rusage usage{};
+    const Stopwatch watch;
+    ChildRun run;
+    run.packets = static_cast<double>(workload());
+    run.seconds = watch.seconds();
+    struct rusage usage {};
     getrusage(RUSAGE_SELF, &usage);
-    const std::uint64_t report[3] = {
-        packets, static_cast<std::uint64_t>(seconds * 1e6),
-        static_cast<std::uint64_t>(usage.ru_maxrss)};  // KB on Linux
-    ssize_t written = write(fds[1], report, sizeof(report));
-    (void)written;
-    close(fds[1]);
-    _exit(0);
+    run.peak_rss_kb = static_cast<double>(usage.ru_maxrss);  // KB on Linux
+    const ssize_t written = write(fds[1], &run, sizeof(run));
+    _exit(written == sizeof(run) ? 0 : 1);
   }
   close(fds[1]);
-  std::uint64_t report[3] = {0, 0, 0};
-  const ssize_t got = read(fds[0], report, sizeof(report));
+  ChildRun run;
+  const ssize_t got = read(fds[0], &run, sizeof(run));
   close(fds[0]);
   int status = 0;
   waitpid(pid, &status, 0);
-  if (got == sizeof(report) && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-    run.packets = report[0];
-    run.seconds = static_cast<double>(report[1]) / 1e6;
-    run.peak_rss_kb = report[2];
-    run.ok = true;
+  if (got != sizeof(run) || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    throw std::runtime_error("child measurement failed");
   }
   return run;
 }
-#endif  // __unix__
 
-// Materialized vs streaming peak RSS on a scaled-up D1 (68-byte snaplen:
-// the paper's biggest dataset by packet count).  The materialized path is
-// what the seed pipeline did — generate the whole TraceSet, then analyze;
-// the streaming path never holds more than one regeneration slice per
+// Peak RSS of D1 (68-byte snaplen: the paper's biggest dataset by packet
+// count) analyzed after materializing the whole TraceSet versus streamed
+// through regeneration slices, which holds no more than one slice per
 // analysis thread.
-void run_memory_study() {
-#ifdef __unix__
-  // 0.05 puts D1 at ~4.5M packets: big enough that the materialized
-  // TraceSet dominates RSS (a few GB) without risking the box.
-  const double scale = env_double("ENTRACE_MEM_SCALE", 0.05);
-  const int slices = env_int("ENTRACE_MEM_SLICES", 8);
-  std::printf("---- peak memory: materialized vs streaming (D1, scale %.3f, %d slices) ----\n",
-              scale, slices);
-
-  const MemoryRun materialized = measure_in_child("materialized", [&]() -> std::uint64_t {
-    EnterpriseModel model;
-    const DatasetSpec spec = dataset_by_name("D1", scale);
-    const AnalyzerConfig config = default_config_for_model(model.site());
-    const TraceSet set = generate_dataset(spec, model);
-    const DatasetAnalysis a = analyze_dataset(set, config);
-    benchmark::DoNotOptimize(a.total_packets);
-    return a.quality.packets_seen;
+Json run_memory_study(const Run& run) {
+  constexpr int kSlices = 8;
+  std::printf("---- memory: materialized vs streaming peak RSS (D1, scale %.3f, %d slices) ----\n",
+              run.scale, kSlices);
+  const char* const labels[] = {"materialized", "streaming"};
+  const auto samples = interleave(2, run.reps, [&](std::size_t i, Samples& s) {
+    const ChildRun child = measure_in_child([&]() -> std::uint64_t {
+      const EnterpriseModel model;
+      const DatasetSpec spec = dataset_by_name("D1", run.scale);
+      const AnalyzerConfig config = default_config_for_model(model.site());
+      const DatasetAnalysis a =
+          i == 0 ? analyze_dataset(generate_dataset(spec, model), config)
+                 : analyze_dataset(SyntheticTraceSourceSet(spec, model, {kSlices}), config);
+      return a.quality.packets_seen;
+    });
+    s.add("packets", child.packets);
+    s.add("seconds", child.seconds);
+    s.add("peak_rss_kb", child.peak_rss_kb);
   });
-  const MemoryRun streaming = measure_in_child("streaming", [&]() -> std::uint64_t {
-    EnterpriseModel model;
-    const DatasetSpec spec = dataset_by_name("D1", scale);
-    const AnalyzerConfig config = default_config_for_model(model.site());
-    const SyntheticTraceSourceSet sources(spec, model,
-                                          {env_int("ENTRACE_MEM_SLICES", 8)});
-    const DatasetAnalysis a = analyze_dataset(sources, config);
-    benchmark::DoNotOptimize(a.total_packets);
-    return a.quality.packets_seen;
-  });
-
-  for (const MemoryRun& r : {materialized, streaming}) {
-    if (!r.ok) {
-      std::printf("  %-14s measurement failed\n", r.label.c_str());
-      continue;
-    }
-    std::printf("  %-14s %10llu packets  %8.2fs  %10llu KB peak RSS\n", r.label.c_str(),
-                static_cast<unsigned long long>(r.packets), r.seconds,
-                static_cast<unsigned long long>(r.peak_rss_kb));
+  Json rows = Json::array();
+  for (std::size_t i = 0; i < 2; ++i) {
+    std::printf("  %-13s%s\n", labels[i], samples[i].summary().c_str());
+    rows.push(samples[i].with(Json().set("label", labels[i])));
   }
-  if (materialized.ok && streaming.ok && streaming.peak_rss_kb > 0) {
-    std::printf("  streaming peak RSS reduction: %.2fx\n",
-                static_cast<double>(materialized.peak_rss_kb) /
-                    static_cast<double>(streaming.peak_rss_kb));
-  }
-  g_memory_runs = {materialized, streaming};
-#else
-  std::printf("---- peak memory study skipped (no fork/getrusage) ----\n");
-#endif
+  const double reduction = samples[0].median("peak_rss_kb") / samples[1].median("peak_rss_kb");
+  std::printf("  streaming peak RSS reduction: %.2fx\n", reduction);
+  return Json().set("memory", rows).set("memory_rss_reduction", reduction);
 }
 
-// ---- snapshot shard study ---------------------------------------------------
+// ---- snapshot: multi-process shard + merge ------------------------------------
 
-struct ShardRun {
-  int shards = 0;
-  double shard_seconds = 0.0;   // fork -> all .esnap files complete
-  double decode_seconds = 0.0;  // read + validate every snapshot
-  double merge_seconds = 0.0;   // fold_shards over the decoded shards
-  std::uint64_t bytes = 0;      // total snapshot bytes across the files
-  std::uint64_t packets = 0;
-  bool ok = false;
-};
-
-struct SnapshotStudy {
-  double scale = 0.0;
-  std::size_t traces = 0;
-  double encode_seconds = 0.0;  // SnapshotWriter over pre-analyzed shards
-  std::uint64_t encode_bytes = 0;
-  std::vector<ShardRun> runs;
-};
-
-SnapshotStudy g_snapshot_study;  // picked up by the JSON writer
-
-// D1 analyzed by `shards` cooperating processes, each snapshotting its
-// trace range, then decoded and folded here — the entrace_shard |
-// entrace_merge pipeline as one measurement.  Children analyze with
-// config.threads = 1 (ThreadPool inline mode spawns nothing), so fork()
-// happens in a single-threaded process.
-ShardRun run_sharded(const DatasetSpec& spec, const EnterpriseModel& model,
-                     const AnalyzerConfig& config, int shards, const std::string& dir) {
-  ShardRun run;
-  run.shards = shards;
-#ifdef __unix__
-  const SyntheticTraceSourceSet sources(spec, model);
+// D1 analyzed by `shards` fork()ed processes, each writing its trace range
+// as an .esnap, then decoded and folded here: entrace_shard | entrace_merge
+// as one measurement.  Children analyze with threads = 1, so the pool runs
+// inline and spawns nothing.
+void measure_sharded(const DatasetSpec& spec, const SyntheticTraceSourceSet& sources,
+                     const AnalyzerConfig& config, std::size_t shards, const std::string& dir,
+                     Samples& s) {
   const std::size_t n = sources.size();
-  const snapshot::SnapshotMeta meta{spec.name, spec.scale,
-                                    static_cast<std::uint32_t>(n)};
+  const snapshot::SnapshotMeta meta{spec.name, spec.scale, static_cast<std::uint32_t>(n)};
   std::vector<std::string> paths;
   std::vector<pid_t> pids;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int s = 0; s < shards; ++s) {
-    const std::size_t lo = n * static_cast<std::size_t>(s) / static_cast<std::size_t>(shards);
-    const std::size_t hi =
-        n * static_cast<std::size_t>(s + 1) / static_cast<std::size_t>(shards);
-    const std::string path = dir + "/shard" + std::to_string(s) + ".esnap";
-    paths.push_back(path);
+  const Stopwatch shard_watch;
+  for (std::size_t k = 0; k < shards; ++k) {
+    const std::size_t lo = n * k / shards, hi = n * (k + 1) / shards;
+    paths.push_back(dir + "/shard" + std::to_string(k) + ".esnap");
     const pid_t pid = fork();
-    if (pid < 0) return run;
+    if (pid < 0) throw std::runtime_error("fork failed");
     if (pid == 0) {
-      std::vector<TraceShard> out = analyze_trace_shards(sources, config, lo, hi);
-      snapshot::SnapshotWriter writer(path, meta);
+      const std::vector<TraceShard> out = analyze_trace_shards(sources, config, lo, hi);
+      snapshot::SnapshotWriter writer(paths.back(), meta);
       for (std::size_t i = 0; i < out.size(); ++i) {
         writer.add_shard(static_cast<std::uint32_t>(lo + i), out[i]);
       }
@@ -474,511 +454,305 @@ ShardRun run_sharded(const DatasetSpec& spec, const EnterpriseModel& model,
     }
     pids.push_back(pid);
   }
+  bool ok = true;
   for (const pid_t pid : pids) {
     int status = 0;
     waitpid(pid, &status, 0);
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) return run;
+    ok = ok && WIFEXITED(status) && WEXITSTATUS(status) == 0;
   }
-  run.shard_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (!ok) throw std::runtime_error("a shard process failed");
+  s.add("shard_seconds", shard_watch.seconds());
 
-  const auto t1 = std::chrono::steady_clock::now();
-  std::vector<snapshot::SnapshotShard> decoded;
+  const Stopwatch decode_watch;
+  std::vector<TraceShard> decoded;
+  std::uint64_t bytes = 0;
   for (const std::string& path : paths) {
     snapshot::Snapshot snap = snapshot::read_snapshot(path);
-    run.bytes += std::filesystem::file_size(path);
-    for (auto& shard : snap.shards) decoded.push_back(std::move(shard));
+    bytes += std::filesystem::file_size(path);
+    for (auto& shard : snap.shards) decoded.push_back(std::move(shard.shard));
   }
-  run.decode_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
+  s.add("decode_seconds", decode_watch.seconds());
 
-  const auto t2 = std::chrono::steady_clock::now();
-  std::vector<TraceShard> folded;
-  folded.reserve(decoded.size());
-  for (auto& shard : decoded) folded.push_back(std::move(shard.shard));
-  const DatasetAnalysis analysis = fold_shards(spec.name, std::move(folded), config);
-  run.merge_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t2).count();
-  run.packets = analysis.quality.packets_seen;
-  benchmark::DoNotOptimize(analysis.total_packets);
+  const Stopwatch merge_watch;
+  const DatasetAnalysis analysis = fold_shards(spec.name, std::move(decoded), config);
+  s.add("merge_seconds", merge_watch.seconds());
+  s.add("packets", static_cast<double>(analysis.quality.packets_seen));
+  s.add("snapshot_bytes", static_cast<double>(bytes));
   for (const std::string& path : paths) std::filesystem::remove(path);
-  run.ok = true;
-#else
-  (void)spec;
-  (void)model;
-  (void)config;
-  (void)dir;
-#endif
-  return run;
 }
 
-void run_snapshot_study() {
-#ifdef __unix__
-  const double scale = env_double("ENTRACE_SNAP_SCALE", 0.02);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D1", scale);
+// .esnap encode throughput, and D1 shard + merge over 1/2/4/8 processes
+// against one.
+Json run_snapshot_study(const Run& run) {
+  const EnterpriseModel model;
+  const DatasetSpec spec = dataset_by_name("D1", run.scale);
   AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;  // per-process work stays single-threaded; processes scale
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "entrace_bench_esnap").string();
-  std::filesystem::create_directories(dir);
+  config.threads = 1;  // per-process work stays serial; processes scale
+  const SyntheticTraceSourceSet sources(spec, model);
+  const ScratchDir scratch("entrace_bench_esnap");
+  const std::string& dir = scratch.path;
+  std::printf("---- snapshot: multi-process shard + merge (D1, scale %.3f) ----\n", run.scale);
 
-  std::printf("---- snapshot shards: multi-process shard+merge (D1, scale %.3f) ----\n", scale);
-  g_snapshot_study.scale = scale;
-
-  // Pure-encode throughput, separated from analysis cost: analyze once in
-  // this process (threads = 1 keeps it thread-free for the forks below),
-  // then time only the SnapshotWriter pass.
-  {
-    const SyntheticTraceSourceSet sources(spec, model);
-    g_snapshot_study.traces = sources.size();
-    const std::vector<TraceShard> shards =
-        analyze_trace_shards(sources, config, 0, sources.size());
-    const std::string path = dir + "/encode.esnap";
-    const auto t0 = std::chrono::steady_clock::now();
+  // Encode cost apart from analysis: analyze once here, then time only the
+  // SnapshotWriter pass (configuration 0; 1.. are the shard counts).
+  const std::vector<TraceShard> analyzed =
+      analyze_trace_shards(sources, config, 0, sources.size());
+  const std::size_t shard_counts[] = {1, 2, 4, 8};
+  const auto samples = interleave(1 + std::size(shard_counts), run.reps,
+                                  [&](std::size_t i, Samples& s) {
+    if (i > 0) return measure_sharded(spec, sources, config, shard_counts[i - 1], dir, s);
+    const Stopwatch watch;
     snapshot::SnapshotWriter writer(
-        path, {spec.name, spec.scale, static_cast<std::uint32_t>(sources.size())});
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      writer.add_shard(static_cast<std::uint32_t>(i), shards[i]);
+        dir + "/encode.esnap", {spec.name, spec.scale, static_cast<std::uint32_t>(analyzed.size())});
+    for (std::size_t t = 0; t < analyzed.size(); ++t) {
+      writer.add_shard(static_cast<std::uint32_t>(t), analyzed[t]);
     }
     writer.close();
-    g_snapshot_study.encode_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    g_snapshot_study.encode_bytes = writer.bytes_written();
-    std::filesystem::remove(path);
-    std::printf("  encode: %.1f MB in %.3fs (%.1f MB/s)\n",
-                static_cast<double>(g_snapshot_study.encode_bytes) / 1e6,
-                g_snapshot_study.encode_seconds,
-                g_snapshot_study.encode_seconds > 0
-                    ? static_cast<double>(g_snapshot_study.encode_bytes) / 1e6 /
-                          g_snapshot_study.encode_seconds
-                    : 0.0);
-  }
+    s.add("encode_seconds", watch.seconds());
+    s.add("encode_bytes", static_cast<double>(writer.bytes_written()));
+  });
 
-  for (const int shards : {1, 2, 4, 8}) {
-    const ShardRun run = run_sharded(spec, model, config, shards, dir);
-    if (!run.ok) {
-      std::printf("  %d shard(s): measurement failed\n", shards);
-      continue;
-    }
-    g_snapshot_study.runs.push_back(run);
-    const double total = run.shard_seconds + run.decode_seconds + run.merge_seconds;
-    const double mb = static_cast<double>(run.bytes) / 1e6;
-    std::printf(
-        "  %d shard(s): analyze+encode %6.2fs, decode %5.3fs (%6.1f MB/s), merge %5.3fs"
-        "  -> total %6.2fs\n",
-        shards, run.shard_seconds, run.decode_seconds,
-        run.decode_seconds > 0 ? mb / run.decode_seconds : 0.0, run.merge_seconds, total);
+  Json section = samples[0].with(
+      Json().set("dataset", "D1").set("scale", run.scale).set("traces", sources.size()));
+  std::printf("  encode     %s\n", samples[0].summary().c_str());
+  Json rows = Json::array();
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    rows.push(samples[i].with(Json().set("shards", shard_counts[i - 1])));
+    std::printf("  %zu shard(s)%s\n", shard_counts[i - 1], samples[i].summary().c_str());
   }
-  if (g_snapshot_study.runs.size() > 1) {
-    const ShardRun& one = g_snapshot_study.runs.front();
-    const ShardRun& best = *std::min_element(
-        g_snapshot_study.runs.begin(), g_snapshot_study.runs.end(),
-        [](const ShardRun& a, const ShardRun& b) {
-          return a.shard_seconds + a.decode_seconds + a.merge_seconds <
-                 b.shard_seconds + b.decode_seconds + b.merge_seconds;
-        });
-    std::printf("  best: %d shards, %.2fx vs 1 process (%llu packets, %.1f MB of snapshots)\n",
-                best.shards,
-                (one.shard_seconds + one.decode_seconds + one.merge_seconds) /
-                    (best.shard_seconds + best.decode_seconds + best.merge_seconds),
-                static_cast<unsigned long long>(one.packets),
-                static_cast<double>(one.bytes) / 1e6);
-  }
-  std::filesystem::remove_all(dir);
-#else
-  std::printf("---- snapshot shard study skipped (no fork) ----\n");
-#endif
+  return Json().set("snapshot", section.set("runs", rows));
 }
 
-// ---- telemetry overhead study -----------------------------------------------
+// ---- telemetry: collect_metrics off vs on -------------------------------------
 
-// Cost of the obs metrics layer on the D1 throughput workload:
-// analyze_dataset with collect_metrics on vs off over the streaming
-// sources, best of ENTRACE_BENCH_REPS.  Budget: <= 2% (EXPERIMENTS.md).
-struct TelemetryStudy {
-  double scale = 0.0;
-  std::uint64_t packets = 0;
-  double on_seconds = 0.0;
-  double off_seconds = 0.0;
-  double overhead_pct = 0.0;
-  bool ok = false;
-};
-
-TelemetryStudy g_telemetry_study;  // picked up by the JSON writer
-
-void run_telemetry_overhead() {
-  const double scale = env_double("ENTRACE_TELEMETRY_SCALE", 0.02);
-  const int reps = env_int("ENTRACE_BENCH_REPS", 3);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D1", scale);
+// Cost of the obs metrics layer on the D1 throughput workload, serial so
+// per-packet metric cost is not hidden by idle cores.  The overhead is taken
+// per rep (each "on" run against the "off" run just before it).  Budget:
+// <= 2% (EXPERIMENTS.md).
+Json run_telemetry_study(const Run& run) {
+  const EnterpriseModel model;
+  const DatasetSpec spec = dataset_by_name("D1", run.scale);
   const SyntheticTraceSourceSet sources(spec, model);
   AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;  // serial: per-packet metric cost is not hidden by idle cores
-
-  std::printf("---- telemetry overhead: collect_metrics on vs off (D1, scale %.3f) ----\n",
-              scale);
-  // Interleave on/off reps (off, on, off, on, ...) and keep the best of
-  // each: run-to-run noise on a shared box exceeds the signal, and
-  // interleaving keeps slow drift from landing entirely on one side.
+  config.threads = 1;
+  std::printf("---- telemetry: collect_metrics off vs on (D1, scale %.3f) ----\n", run.scale);
   std::uint64_t packets = 0;
-  double best_off = 0.0, best_on = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    for (const bool collect : {false, true}) {
-      config.collect_metrics = collect;
-      const auto start = std::chrono::steady_clock::now();
-      const DatasetAnalysis a = analyze_dataset(sources, config);
-      const double s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      packets = a.quality.packets_seen;
-      benchmark::DoNotOptimize(a.total_packets);
-      double& best = collect ? best_on : best_off;
-      if (r == 0 || s < best) best = s;
-    }
+  const char* const names[] = {"metrics_off_seconds", "metrics_on_seconds"};
+  const auto samples = interleave(2, run.reps, [&](std::size_t i, Samples& s) {
+    config.collect_metrics = i == 1;
+    const Stopwatch watch;
+    const DatasetAnalysis a = analyze_dataset(sources, config);
+    s.add(names[i], watch.seconds());
+    packets = a.quality.packets_seen;
+  });
+  Samples overhead;
+  const std::vector<double>& off = samples[0].values(names[0]);
+  const std::vector<double>& on = samples[1].values(names[1]);
+  for (std::size_t r = 0; r < off.size(); ++r) {
+    overhead.add("overhead_pct", (on[r] - off[r]) / off[r] * 100.0);
   }
-
-  g_telemetry_study.scale = scale;
-  g_telemetry_study.packets = packets;
-  g_telemetry_study.on_seconds = best_on;
-  g_telemetry_study.off_seconds = best_off;
-  g_telemetry_study.overhead_pct =
-      best_off > 0 ? (best_on - best_off) / best_off * 100.0 : 0.0;
-  g_telemetry_study.ok = true;
-  std::printf("  off %8.3fs  on %8.3fs  overhead %+.2f%%  (%llu packets, budget <= 2%%)\n",
-              best_off, best_on, g_telemetry_study.overhead_pct,
+  std::printf("  %s%s%s  (%llu packets, budget <= 2%%)\n", samples[0].summary().c_str(),
+              samples[1].summary().c_str(), overhead.summary().c_str(),
               static_cast<unsigned long long>(packets));
+  const Json head = Json().set("dataset", "D1").set("scale", run.scale).set("packets", packets);
+  return Json().set("telemetry",
+                    overhead.with(samples[1].with(samples[0].with(head))).set("budget_pct", 2.0));
 }
 
-// ---- batch-size study -------------------------------------------------------
-
-// One interleaved batch-size sweep through analyze_trace's one ingest loop:
-// batch@1 (one packet per next_batch call) is the baseline the larger sizes
-// are compared with, alternating configurations within every repetition so
-// load drift hits all of them equally.  Stage attribution
-// comes from the analyzer's own obs::stage_timer recordings
-// (stage.batch.{source,decode,tally,flow}.seconds, folded across shards).
-struct BatchRun {
-  std::size_t batch_size = 0;
-  double seconds = 0.0;
-  double pps = 0.0;
-  double source_s = 0.0, decode_s = 0.0, tally_s = 0.0, flow_s = 0.0;
-};
-
-struct BatchStudy {
-  double scale = 0.0;
-  int reps = 0;
-  std::uint64_t packets = 0;
-  std::vector<BatchRun> runs;  // runs.front() is the batch@1 baseline
-  bool ok = false;
-};
-
-BatchStudy g_batch_study;  // picked up by the JSON writer
+// ---- batch: ingest batch sizes ------------------------------------------------
 
 double stage_gauge(const obs::Registry& reg, const char* name) {
   const obs::Metric* m = reg.find(name);
   return m != nullptr && m->kind == obs::MetricKind::kGauge ? m->gauge.value() : 0.0;
 }
 
-void run_batch_study(double scale, int reps) {
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D3", scale);
+// analyze_trace's one ingest loop on D3 at batch sizes 1..1024; batch@1 (one
+// packet per next_batch call) is the baseline.  Stage seconds come from the
+// analyzer's own obs::stage_timer gauges (stage.batch.*.seconds).
+Json run_batch_study(const Run& run) {
+  const EnterpriseModel model;
+  const DatasetSpec spec = dataset_by_name("D3", run.scale);
   const TraceSet set = generate_dataset(spec, model);
   const std::uint64_t packets = set.total_packets();
   AnalyzerConfig config = default_config_for_model(model.site());
   config.threads = 1;
-
-  std::vector<std::size_t> sizes = {1, 16, 64, 256, 1024};
-  std::vector<BatchRun> runs(sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) runs[i].batch_size = sizes[i];
-
-  std::printf("---- batch sizes (D3, scale %.3f, %llu packets, interleaved best of %d) ----\n",
-              scale, static_cast<unsigned long long>(packets), reps);
-  // Interleave: every rep visits every configuration once before any
-  // configuration repeats, so a slow machine moment cannot flatter one side.
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      config.batch_size = sizes[i];
-      const auto start = std::chrono::steady_clock::now();
-      const DatasetAnalysis a = analyze_dataset(set, config);
-      const double s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      benchmark::DoNotOptimize(a.total_packets);
-      if (r == 0 || s < runs[i].seconds) {
-        runs[i].seconds = s;
-        runs[i].source_s = stage_gauge(a.metrics, "stage.batch.source.seconds");
-        runs[i].decode_s = stage_gauge(a.metrics, "stage.batch.decode.seconds");
-        runs[i].tally_s = stage_gauge(a.metrics, "stage.batch.tally.seconds");
-        runs[i].flow_s = stage_gauge(a.metrics, "stage.batch.flow.seconds");
-      }
+  std::printf("---- batch sizes (D3, scale %.3f, %llu packets) ----\n", run.scale,
+              static_cast<unsigned long long>(packets));
+  const std::size_t sizes[] = {1, 16, 64, 256, 1024};
+  const auto samples = interleave(std::size(sizes), run.reps, [&](std::size_t i, Samples& s) {
+    config.batch_size = sizes[i];
+    const Stopwatch watch;
+    const DatasetAnalysis a = analyze_dataset(set, config);
+    const double seconds = watch.seconds();
+    s.add("seconds", seconds);
+    s.add("pps", static_cast<double>(packets) / seconds);
+    for (const char* stage : {"source", "decode", "tally", "flow"}) {
+      s.add(std::string(stage) + "_s",
+            stage_gauge(a.metrics, ("stage.batch." + std::string(stage) + ".seconds").c_str()));
     }
+  });
+  Json rows = Json::array();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double speedup = samples[0].median("seconds") / samples[i].median("seconds");
+    std::printf("  batch@%-5zu%s  %.2fx vs batch@1\n", sizes[i], samples[i].summary().c_str(),
+                speedup);
+    rows.push(
+        samples[i].with(Json().set("batch_size", sizes[i])).set("speedup_vs_batch1", speedup));
   }
-  for (BatchRun& r : runs) {
-    r.pps = r.seconds > 0 ? static_cast<double>(packets) / r.seconds : 0.0;
-  }
-
-  g_batch_study.scale = scale;
-  g_batch_study.reps = reps;
-  g_batch_study.packets = packets;
-  g_batch_study.runs = runs;
-  g_batch_study.ok = true;
-
-  for (const BatchRun& r : runs) {
-    std::printf(
-        "  batch@%-6zu %8.3fs  %12.0f pps  (%.2fx vs batch@1; stages src %.3f dec %.3f tly %.3f flw %.3f)\n",
-        r.batch_size, r.seconds, r.pps, runs.front().seconds / r.seconds, r.source_s,
-        r.decode_s, r.tally_s, r.flow_s);
-  }
+  return Json().set("batch", Json()
+                                 .set("dataset", "D3")
+                                 .set("scale", run.scale)
+                                 .set("packets", packets)
+                                 .set("sweep", rows));
 }
 
-// ---- orchestration study ----------------------------------------------------
+// ---- dispatch: direct vs subprocess and TCP workers ---------------------------
 
-// Cost of fault-tolerant supervision (src/orchestrate): a D0 fault-rate
-// sweep at 0% / 10% / 20% per-attempt injection (the rate split evenly
-// across crash/hang/truncate/corrupt) against an in-process direct
-// analysis.  The 0%-row's delta over direct is the pure orchestration
-// overhead (subprocess spawn + snapshot encode/decode + validation); the
-// injected rows show what recovery costs in retries and wall clock.
-struct OrchestrateRun {
-  double fault_rate = 0.0;
-  double seconds = 0.0;
-  std::uint64_t attempts = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t faults = 0;
-  bool complete = false;
+// In-process cluster workers on loopback TCP sockets, stopped and joined on
+// destruction.
+class LoopbackFleet {
+ public:
+  explicit LoopbackFleet(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      cluster::WorkerConfig wc;
+      wc.name = "bench-w" + std::to_string(i);
+      servers_.push_back(std::make_unique<cluster::WorkerServer>(wc));
+      endpoints_.push_back("127.0.0.1:" + std::to_string(servers_.back()->port()));
+    }
+    for (auto& server : servers_) threads_.emplace_back([&server] { server->serve(); });
+  }
+  ~LoopbackFleet() {
+    for (auto& server : servers_) server->stop();
+    for (auto& thread : threads_) thread.join();
+  }
+  LoopbackFleet(const LoopbackFleet&) = delete;
+  LoopbackFleet& operator=(const LoopbackFleet&) = delete;
+  std::vector<std::string> endpoints(std::size_t n) const {
+    return {endpoints_.begin(), endpoints_.begin() + static_cast<std::ptrdiff_t>(n)};
+  }
+
+ private:
+  std::vector<std::unique_ptr<cluster::WorkerServer>> servers_;
+  std::vector<std::string> endpoints_;
+  std::vector<std::thread> threads_;
 };
 
-struct OrchestrateStudy {
-  double scale = 0.0;
-  std::size_t workers = 0;
-  double direct_seconds = 0.0;
-  std::vector<OrchestrateRun> runs;
-  bool ok = false;
-};
-
-OrchestrateStudy g_orchestrate_study;  // picked up by the JSON writer
-
-void run_orchestrate_study() {
-  const double scale = env_double("ENTRACE_ORCH_SCALE", 0.01);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D0", scale);
+// What the job scheduler (src/orchestrate) costs over an in-process direct
+// analysis of D0, through both transports: 4 entrace_shard subprocesses
+// and 1/2/4 loopback TCP workers, each at 0/10/20% per-attempt fault
+// injection split evenly over the transport's four kinds.  The 0% rows are
+// the pure dispatch overhead; the others price recovery.  Every run must
+// complete and render a report byte-identical to the direct run's, or the
+// study fails.
+Json run_dispatch_study(const Run& run) {
+  const EnterpriseModel model;
+  const DatasetSpec spec = dataset_by_name("D0", run.scale);
   AnalyzerConfig config = default_config_for_model(model.site());
   config.threads = 1;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "entrace_bench_orch").string();
-
-  std::printf("---- orchestration overhead + recovery (D0, scale %.3f, 4 workers) ----\n", scale);
-
   const SyntheticTraceSourceSet sources(spec, model);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<TraceShard> shards = analyze_trace_shards(sources, config, 0, sources.size());
-    const DatasetAnalysis a = fold_shards(spec.name, std::move(shards), config);
-    benchmark::DoNotOptimize(a.total_packets);
-  }
-  g_orchestrate_study.direct_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  g_orchestrate_study.scale = scale;
-  g_orchestrate_study.workers = 4;
-  std::printf("  direct (in-process, 1 thread): %6.2fs\n", g_orchestrate_study.direct_seconds);
+  const ScratchDir scratch("entrace_bench_dispatch");
+  const std::string& dir = scratch.path;
+  std::printf("---- dispatch: direct vs subprocess and TCP workers (D0, scale %.3f) ----\n",
+              run.scale);
 
-  for (const double rate : {0.0, 0.1, 0.2}) {
+  struct Entry {
+    bool tcp;
+    std::size_t workers;  // 0: the direct run
+    double fault_rate;
+  };
+  std::vector<Entry> entries = {{false, 0, 0.0}};
+  for (const double rate : {0.0, 0.1, 0.2}) entries.push_back({false, 4, rate});
+  for (const std::size_t workers : {1, 2, 4}) {
+    for (const double rate : {0.0, 0.1, 0.2}) entries.push_back({true, workers, rate});
+  }
+  const LoopbackFleet fleet(4);
+  std::string direct_report;  // the direct run comes first in every rep
+  const auto samples = interleave(entries.size(), run.reps, [&](std::size_t i, Samples& s) {
+    const Entry& e = entries[i];
+    if (e.workers == 0) {
+      const Stopwatch watch;
+      DatasetAnalysis a = fold_shards(
+          spec.name, analyze_trace_shards(sources, config, 0, sources.size()), config);
+      s.add("seconds", watch.seconds());
+      const report::ReportInput input{&spec, &a};
+      direct_report = report::full_report(std::span(&input, 1));
+      return;
+    }
+    // Injected hangs cost a deadline each; the smoke run leaves them out.
+    const double hang = run.smoke ? 0.0 : e.fault_rate / 4.0;
+    const double other = (e.fault_rate - hang) / 3.0;
+    orchestrate::DispatchConfig* common = nullptr;
     orchestrate::OrchestratorConfig oc;
-    oc.dataset = spec.name;
-    oc.scale = scale;
-    oc.workers = 4;
-    oc.jobs = 8;  // more, smaller jobs: more per-attempt fault draws per run
-    oc.shard_binary = ENTRACE_SHARD_BIN;
-    oc.work_dir = dir;
-    oc.retry.max_attempts = 10;  // generous: every job must eventually succeed
-    oc.retry.base_delay = 0.02;
-    oc.attempt_deadline = 30.0 * std::max(scale / 0.01, 1.0);
-    oc.inject.crash = oc.inject.hang = rate / 4.0;
-    oc.inject.truncate = oc.inject.corrupt = rate / 4.0;
-    oc.inject.seed = 17;
-    const auto t1 = std::chrono::steady_clock::now();
-    orchestrate::OrchestrateResult result;
-    try {
-      result = orchestrate::orchestrate(oc);
-    } catch (const std::exception& e) {
-      std::printf("  fault rate %.0f%%: measurement failed (%s)\n", rate * 100, e.what());
-      std::filesystem::remove_all(dir);
-      return;
-    }
-    OrchestrateRun run;
-    run.fault_rate = rate;
-    run.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
-    run.attempts = result.attempts;
-    run.retries = result.retries;
-    run.faults = result.fault_counts.total_faults();
-    run.complete = result.complete;
-    g_orchestrate_study.runs.push_back(run);
-    std::printf(
-        "  fault rate %3.0f%%: %6.2fs (%.2fx vs direct), %llu attempts, %llu retries%s\n",
-        rate * 100, run.seconds,
-        g_orchestrate_study.direct_seconds > 0
-            ? run.seconds / g_orchestrate_study.direct_seconds
-            : 0.0,
-        static_cast<unsigned long long>(run.attempts),
-        static_cast<unsigned long long>(run.retries),
-        run.complete ? "" : "  [INCOMPLETE]");
-  }
-  g_orchestrate_study.ok = !g_orchestrate_study.runs.empty();
-  std::filesystem::remove_all(dir);
-}
-
-// ---- cluster dispatch study -------------------------------------------------
-
-// Network-hop cost of the cluster layer (src/cluster): the same dataset
-// dispatched over 1/2/4 loopback workers at 0/10/20% injected network
-// faults (refuse/disconnect/corrupt-frame/hang in equal shares).  Workers
-// are in-process WorkerServer threads on real TCP sockets, so the study
-// prices framing + streaming + validation + retry, not process spawning.
-struct ClusterRun {
-  std::size_t workers = 0;
-  double fault_rate = 0.0;
-  double seconds = 0.0;
-  std::uint64_t attempts = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t faults = 0;
-  bool complete = false;
-};
-
-struct ClusterStudy {
-  double scale = 0.0;
-  double direct_seconds = 0.0;
-  std::vector<ClusterRun> runs;
-  bool ok = false;
-};
-
-ClusterStudy g_cluster_study;  // picked up by the JSON writer
-
-void run_cluster_study() {
-  const double scale = env_double("ENTRACE_CLUSTER_SCALE", 0.01);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D0", scale);
-  AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;
-
-  std::printf("---- cluster dispatch (D0, scale %.3f, loopback workers) ----\n", scale);
-
-  const SyntheticTraceSourceSet sources(spec, model);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::vector<TraceShard> shards = analyze_trace_shards(sources, config, 0, sources.size());
-    const DatasetAnalysis a = fold_shards(spec.name, std::move(shards), config);
-    benchmark::DoNotOptimize(a.total_packets);
-  }
-  g_cluster_study.direct_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  g_cluster_study.scale = scale;
-  std::printf("  direct (in-process, 1 thread): %6.2fs\n", g_cluster_study.direct_seconds);
-
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    std::vector<std::unique_ptr<cluster::WorkerServer>> servers;
-    std::vector<std::thread> threads;
-    std::vector<std::string> endpoints;
-    try {
-      for (std::size_t i = 0; i < workers; ++i) {
-        cluster::WorkerConfig wc;
-        wc.name = "bench-w" + std::to_string(i);
-        servers.push_back(std::make_unique<cluster::WorkerServer>(wc));
-        endpoints.push_back("127.0.0.1:" + std::to_string(servers.back()->port()));
-      }
-    } catch (const std::exception& e) {
-      std::printf("  %zu workers: cannot bind loopback sockets (%s)\n", workers, e.what());
-      return;
-    }
-    for (auto& server : servers) {
-      threads.emplace_back([&server] { server->serve(); });
-    }
-
-    for (const double rate : {0.0, 0.1, 0.2}) {
-      cluster::ClusterConfig cc;
-      cc.dataset = spec.name;
-      cc.scale = scale;
-      cc.endpoints = endpoints;
-      cc.jobs = 8;  // more, smaller jobs: more per-attempt fault draws per run
-      cc.retry.max_attempts = 10;  // generous: every job must eventually succeed
-      cc.retry.base_delay = 0.02;
+    cluster::ClusterConfig cc;
+    if (e.tcp) {
+      cc.endpoints = fleet.endpoints(e.workers);
       cc.retry.max_delay = 0.5;
       cc.heartbeat_interval = 0.05;
       cc.heartbeat_deadline = 2.0;  // injected hangs pay this per draw
-      cc.inject.refuse = cc.inject.disconnect = rate / 4.0;
-      cc.inject.corrupt = cc.inject.hang = rate / 4.0;
-      cc.inject.seed = 17;
-      const auto t1 = std::chrono::steady_clock::now();
-      orchestrate::OrchestrateResult result;
-      try {
-        result = cluster::run_cluster(cc);
-      } catch (const std::exception& e) {
-        std::printf("  %zu workers, fault rate %.0f%%: measurement failed (%s)\n", workers,
-                    rate * 100, e.what());
-        for (auto& server : servers) server->stop();
-        for (auto& thread : threads) thread.join();
-        return;
-      }
-      ClusterRun run;
-      run.workers = workers;
-      run.fault_rate = rate;
-      run.seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
-      run.attempts = result.attempts;
-      run.retries = result.retries;
-      run.faults = result.fault_counts.total_faults();
-      run.complete = result.complete;
-      g_cluster_study.runs.push_back(run);
-      std::printf(
-          "  %zu workers, fault rate %3.0f%%: %6.2fs (%.2fx vs direct), %llu attempts, "
-          "%llu retries%s\n",
-          workers, rate * 100, run.seconds,
-          g_cluster_study.direct_seconds > 0 ? run.seconds / g_cluster_study.direct_seconds
-                                             : 0.0,
-          static_cast<unsigned long long>(run.attempts),
-          static_cast<unsigned long long>(run.retries),
-          run.complete ? "" : "  [INCOMPLETE]");
+      cc.inject.refuse = cc.inject.disconnect = cc.inject.corrupt = other;
+      common = &cc;
+    } else {
+      oc.workers = e.workers;
+      oc.shard_binary = ENTRACE_SHARD_BIN;
+      oc.work_dir = dir;
+      oc.attempt_deadline = 30.0 * std::max(run.scale / 0.01, 1.0);
+      oc.inject.crash = oc.inject.truncate = oc.inject.corrupt = other;
+      common = &oc;
     }
+    common->dataset = spec.name;
+    common->scale = run.scale;
+    common->jobs = 8;  // more, smaller jobs: more per-attempt fault draws per run
+    common->retry.max_attempts = 10;  // generous: every job must eventually succeed
+    common->retry.base_delay = 0.02;
+    common->inject.hang = hang;
+    common->inject.seed = 17;
+    const Stopwatch watch;
+    const orchestrate::OrchestrateResult result =
+        e.tcp ? cluster::run_cluster(cc) : orchestrate::orchestrate(oc);
+    s.add("seconds", watch.seconds());
+    const std::string label = std::string(e.tcp ? "tcp" : "subprocess") + " x" +
+                              std::to_string(e.workers) + " at fault rate " +
+                              format_double(e.fault_rate, 2);
+    if (!result.complete) throw std::runtime_error(label + ": incomplete run");
+    if (orchestrate::render_report(result) != direct_report) {
+      throw std::runtime_error(label + ": report differs from the direct run");
+    }
+    s.add("attempts", static_cast<double>(result.attempts));
+    s.add("retries", static_cast<double>(result.retries));
+    s.add("faults", static_cast<double>(result.fault_counts.total_faults()));
+  });
 
-    for (auto& server : servers) server->stop();
-    for (auto& thread : threads) thread.join();
+  const double direct = samples[0].median("seconds");
+  std::printf("  direct (1 thread)   %s\n", samples[0].summary().c_str());
+  Json subprocess_rows = Json::array(), tcp_rows = Json::array();
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    std::printf("  %-10s x%zu %3.0f%%%s  %.2fx vs direct\n", e.tcp ? "tcp" : "subprocess",
+                e.workers, e.fault_rate * 100, samples[i].summary().c_str(),
+                samples[i].median("seconds") / direct);
+    Json head;
+    if (e.tcp) head.set("workers", e.workers);
+    (e.tcp ? tcp_rows : subprocess_rows)
+        .push(samples[i]
+                  .with(head.set("fault_rate", e.fault_rate))
+                  .set("overhead_vs_direct", samples[i].median("seconds") / direct));
   }
-  g_cluster_study.ok = !g_cluster_study.runs.empty();
+  const auto section = [&](Json rows) {
+    return Json()
+        .set("dataset", "D0")
+        .set("scale", run.scale)
+        .set("direct_seconds", direct)
+        .set("direct_seconds_iqr", samples[0].iqr("seconds"))
+        .set("runs", std::move(rows));
+  };
+  return Json()
+      .set("orchestrate", section(subprocess_rows).set("workers", 4))
+      .set("cluster", section(tcp_rows));
 }
 
-// ---- daemon steady-state study ----------------------------------------------
-
-// Continuous-operation cost of the windowed engine (core/incremental.h) in
-// the daemon's own loop shape: merged time-ordered replay -> feed -> rotate
-// at window boundaries -> .esnap checkpoint -> retention aging, with flow
-// eviction and slot reclaim on.  Swept over window counts (coarse to fine
-// rotation) with reps interleaved across configurations; per configuration:
-// sustained ingest pps (best rep), the peak resident set sampled at each
-// rotation, and the rotation stall — the wall pause a rotate + checkpoint +
-// age cycle inflicts on the ingest loop (max and mean).
-struct DaemonRun {
-  std::size_t target_windows = 0;
-  std::uint64_t windows = 0;
-  double seconds = 0.0;
-  double pps = 0.0;
-  double max_stall_s = 0.0;
-  double mean_stall_s = 0.0;
-  std::uint64_t peak_rss_kb = 0;
-  std::uint64_t evicted = 0;
-  std::uint64_t drained = 0;
-};
-
-struct DaemonStudy {
-  double scale = 0.0;
-  int reps = 0;
-  std::uint64_t packets = 0;
-  std::vector<DaemonRun> runs;
-  bool ok = false;
-};
-
-DaemonStudy g_daemon_study;  // picked up by the JSON writer
+// ---- replay: the daemon loop, windows and retention tiers ---------------------
 
 std::uint64_t sample_rss_kb() {
-#ifdef __linux__
   FILE* f = std::fopen("/proc/self/statm", "r");
   if (f == nullptr) return 0;
   unsigned long long pages_total = 0, pages_resident = 0;
@@ -986,598 +760,294 @@ std::uint64_t sample_rss_kb() {
   std::fclose(f);
   if (got != 2) return 0;
   return pages_resident * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) / 1024;
-#else
-  return 0;
-#endif
 }
 
-void run_daemon_study() {
-  const double scale = env_double("ENTRACE_DAEMON_SCALE", 0.02);
-  const int reps = env_int("ENTRACE_BENCH_REPS", 3);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D3", scale);
+// The windowed engine (core/incremental.h) in the daemon's loop shape:
+// merged time-ordered replay -> feed -> rotate at window boundaries -> .esnap
+// checkpoint -> retention aging (keep 4 full windows), with flow eviction
+// and slot reclaim on, serial so stalls are not hidden by idle workers.
+// Swept over 8/32/128 windows with the sketch tiers off, plus 128 windows
+// with sketch_every 8 (tier-1/2 folds inside the rotation path).  The stall
+// is the pause a checkpoint + aging cycle inflicts on the ingest loop.
+// JSON: "daemon" holds the window sweep, "retention" the 128-window pair.
+Json run_replay_study(const Run& run) {
+  const EnterpriseModel model;
+  const DatasetSpec spec = dataset_by_name("D3", run.scale);
   const TraceSet set = generate_dataset(spec, model);
   const std::uint64_t packets = set.total_packets();
   AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;  // serial: rotation stalls are not hidden by idle workers
-
-  // Window widths derive from the merged-timeline span so the sweep holds
-  // its target rotation counts at any scale.
-  double span = 0.0;
+  config.threads = 1;
+  const snapshot::SnapshotMeta meta{spec.name, run.scale,
+                                    static_cast<std::uint32_t>(set.traces.size())};
+  // Window widths derive from the merged timeline's span, so the sweep
+  // holds its window counts at any scale.
+  double lo = 1e300, hi = -1e300;
   {
     const MergedPacketStream probe = merged_stream(set);
-    double lo = 1e300, hi = -1e300;
-    for (std::size_t i = 0; i < probe.source_count(); ++i) {
-      const TraceMeta& m = probe.source(i).meta();
+    for (std::size_t t = 0; t < probe.source_count(); ++t) {
+      const TraceMeta& m = probe.source(t).meta();
       lo = std::min(lo, m.start_ts);
       hi = std::max(hi, m.start_ts + m.duration);
     }
-    span = hi - lo;
   }
-  if (span <= 0.0 || packets == 0) return;
-
-  const std::size_t window_counts[] = {8, 32, 128};
-  std::vector<DaemonRun> runs(std::size(window_counts));
-  for (std::size_t i = 0; i < runs.size(); ++i) runs[i].target_windows = window_counts[i];
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "entrace_bench_daemon").string();
-
-  std::printf(
-      "---- daemon steady state (D3, scale %.3f, %llu packets, interleaved best of %d) ----\n",
-      scale, static_cast<unsigned long long>(packets), reps);
-  // Interleave reps across window configurations, same rationale as the
-  // batch study: load drift must not land entirely on one configuration.
-  for (int r = 0; r < reps; ++r) {
-    for (DaemonRun& out : runs) {
-      std::filesystem::remove_all(dir);
-      std::filesystem::create_directories(dir);
-      MergedPacketStream stream = merged_stream(set);
-      std::vector<TraceMeta> metas;
-      for (std::size_t s = 0; s < stream.source_count(); ++s) {
-        metas.push_back(stream.source(s).meta());
-      }
-      IncrementalOptions opts;
-      opts.window_seconds = span / static_cast<double>(out.target_windows);
-      opts.evict = true;
-      opts.reclaim = true;
-      IncrementalAnalyzer analyzer(std::move(metas), config, opts);
-      snapshot::RetentionManager retention(dir, 4);
-      const snapshot::SnapshotMeta meta{spec.name, scale,
-                                        static_cast<std::uint32_t>(set.traces.size())};
-
-      using clock = std::chrono::steady_clock;
-      double stall_total = 0.0, stall_max = 0.0;
-      std::uint64_t rss_peak = 0;
-      const auto checkpoint = [&](WindowShard&& w) {
-        const auto s0 = clock::now();
-        const std::string path = dir + "/" + snapshot::window_file_name(w.index);
-        snapshot::WindowSummary sum;
-        sum.index = w.index;
-        sum.start_ts = w.start_ts;
-        sum.end_ts = w.end_ts;
-        for (const TraceShard& shard : w.shards) sum.packets += shard.total_packets;
-        sum.snapshot_bytes = snapshot::write_window_snapshot(path, meta, w);
-        retention.add_window(sum, path);
-        const double stall = std::chrono::duration<double>(clock::now() - s0).count();
-        stall_total += stall;
-        stall_max = std::max(stall_max, stall);
-        rss_peak = std::max(rss_peak, sample_rss_kb());
-      };
-
-      std::vector<PacketView> views(256);
-      const auto t0 = clock::now();
-      for (;;) {
-        const std::size_t got = stream.next_batch(views.data(), views.size());
-        if (got == 0) break;
-        analyzer.feed(views.data(), got);
-        while (analyzer.window_complete()) checkpoint(analyzer.rotate());
-      }
-      checkpoint(analyzer.finish(&stream));
-      const double seconds = std::chrono::duration<double>(clock::now() - t0).count();
-
-      if (r == 0 || seconds < out.seconds) {
-        out.windows = analyzer.windows_rotated();
-        out.seconds = seconds;
-        out.pps = seconds > 0 ? static_cast<double>(packets) / seconds : 0.0;
-        out.max_stall_s = stall_max;
-        out.mean_stall_s =
-            analyzer.windows_rotated() > 0
-                ? stall_total / static_cast<double>(analyzer.windows_rotated())
-                : 0.0;
-        out.peak_rss_kb = rss_peak;
-        out.evicted = analyzer.evicted_total();
-        out.drained = analyzer.drained_total();
-      }
-    }
-  }
-  std::filesystem::remove_all(dir);
-
-  for (const DaemonRun& r : runs) {
-    std::printf(
-        "  windows@%-4zu %8.3fs  %12.0f pps  (rotated %llu, stall max %.4fs mean %.4fs, "
-        "peak rss %llu KB, evicted %llu)\n",
-        r.target_windows, r.seconds, r.pps, static_cast<unsigned long long>(r.windows),
-        r.max_stall_s, r.mean_stall_s, static_cast<unsigned long long>(r.peak_rss_kb),
-        static_cast<unsigned long long>(r.evicted));
-  }
-
-  g_daemon_study.scale = scale;
-  g_daemon_study.reps = reps;
-  g_daemon_study.packets = packets;
-  g_daemon_study.runs = runs;
-  g_daemon_study.ok = true;
-}
-
-// ---- retention tiering study ------------------------------------------------
-
-// What the sketch tiers cost at the daemon's default geometry: the same
-// ~128-window replay aged through keep_full 4 with sketching on
-// (sketch_every 8 — tier-1/2 folds run inside the rotation path) versus
-// off (summary-only aging, the pre-sketch scheme).  Per mode: sustained
-// ingest pps, the rotation stall the fold inflicts (max and mean), fold
-// count, and the peak bytes retained on disk across the run — the number
-// that shows sketching buys full-history /report coverage for bounded disk.
-struct RetentionRun {
-  bool sketches = false;
-  std::uint64_t windows = 0;
-  double seconds = 0.0;
-  double pps = 0.0;
-  double max_stall_s = 0.0;
-  double mean_stall_s = 0.0;
-  std::uint64_t folds = 0;
-  std::uint64_t peak_retained_bytes = 0;
-  std::uint64_t final_retained_bytes = 0;
-  std::uint64_t final_esnap_files = 0;
-};
-
-struct RetentionStudy {
-  double scale = 0.0;
-  int reps = 0;
-  std::uint64_t packets = 0;
-  std::size_t keep_full = 0;
-  std::size_t sketch_every = 0;
-  std::vector<RetentionRun> runs;
-  bool ok = false;
-};
-
-RetentionStudy g_retention_study;  // picked up by the JSON writer
-
-void run_retention_study() {
-  const double scale = env_double("ENTRACE_DAEMON_SCALE", 0.02);
-  const int reps = env_int("ENTRACE_BENCH_REPS", 3);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D3", scale);
-  const TraceSet set = generate_dataset(spec, model);
-  const std::uint64_t packets = set.total_packets();
-  AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;  // serial: fold stalls are not hidden by idle workers
-
-  double span = 0.0;
-  {
-    const MergedPacketStream probe = merged_stream(set);
-    double lo = 1e300, hi = -1e300;
-    for (std::size_t i = 0; i < probe.source_count(); ++i) {
-      const TraceMeta& m = probe.source(i).meta();
-      lo = std::min(lo, m.start_ts);
-      hi = std::max(hi, m.start_ts + m.duration);
-    }
-    span = hi - lo;
-  }
-  if (span <= 0.0 || packets == 0) return;
-
+  if (packets == 0 || hi <= lo) throw std::runtime_error("empty replay dataset");
   constexpr std::size_t kKeepFull = 4;
-  constexpr std::size_t kSketchEvery = 8;
-  constexpr std::size_t kTargetWindows = 128;
-  std::vector<RetentionRun> runs(2);
-  runs[0].sketches = false;
-  runs[1].sketches = true;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "entrace_bench_retention").string();
+  struct Config {
+    std::size_t windows, sketch_every;  // sketch_every 0: summary-only aging
+  };
+  const Config configs[] = {{8, 0}, {32, 0}, {128, 0}, {128, 8}};
+  const ScratchDir scratch("entrace_bench_replay");
+  const std::string& dir = scratch.path;
+  std::printf("---- replay: daemon loop (D3, scale %.3f, %llu packets, retain %zu) ----\n",
+              run.scale, static_cast<unsigned long long>(packets), kKeepFull);
 
-  std::printf(
-      "---- retention tiering (D3, scale %.3f, %llu packets, ~%zu windows, retain %zu, "
-      "sketch-every %zu, interleaved best of %d) ----\n",
-      scale, static_cast<unsigned long long>(packets), kTargetWindows, kKeepFull, kSketchEvery,
-      reps);
-  for (int r = 0; r < reps; ++r) {
-    for (RetentionRun& out : runs) {
-      std::filesystem::remove_all(dir);
-      std::filesystem::create_directories(dir);
-      MergedPacketStream stream = merged_stream(set);
-      std::vector<TraceMeta> metas;
-      for (std::size_t s = 0; s < stream.source_count(); ++s) {
-        metas.push_back(stream.source(s).meta());
-      }
-      IncrementalOptions opts;
-      opts.window_seconds = span / static_cast<double>(kTargetWindows);
-      opts.evict = true;
-      opts.reclaim = true;
-      IncrementalAnalyzer analyzer(std::move(metas), config, opts);
-      const snapshot::SnapshotMeta meta{spec.name, scale,
-                                        static_cast<std::uint32_t>(set.traces.size())};
-      std::unique_ptr<snapshot::RetentionManager> retention;
-      if (out.sketches) {
-        snapshot::RetentionOptions ropts;
-        ropts.keep_full = kKeepFull;
-        ropts.sketch_every = kSketchEvery;
-        retention = std::make_unique<snapshot::RetentionManager>(dir, ropts, config, meta);
-      } else {
-        retention = std::make_unique<snapshot::RetentionManager>(dir, kKeepFull);
-      }
+  const auto samples = interleave(std::size(configs), run.reps, [&](std::size_t i, Samples& s) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    MergedPacketStream stream = merged_stream(set);
+    std::vector<TraceMeta> metas;
+    for (std::size_t t = 0; t < stream.source_count(); ++t) {
+      metas.push_back(stream.source(t).meta());
+    }
+    IncrementalOptions opts;
+    opts.window_seconds = (hi - lo) / static_cast<double>(configs[i].windows);
+    opts.evict = opts.reclaim = true;
+    IncrementalAnalyzer analyzer(std::move(metas), config, opts);
+    std::unique_ptr<snapshot::RetentionManager> retention;
+    if (configs[i].sketch_every == 0) {
+      retention = std::make_unique<snapshot::RetentionManager>(dir, kKeepFull);
+    } else {
+      snapshot::RetentionOptions ropts{kKeepFull, configs[i].sketch_every};
+      retention = std::make_unique<snapshot::RetentionManager>(dir, ropts, config, meta);
+    }
 
-      using clock = std::chrono::steady_clock;
-      double stall_total = 0.0, stall_max = 0.0;
-      std::uint64_t peak_bytes = 0;
-      const auto checkpoint = [&](WindowShard&& w) {
-        const auto s0 = clock::now();
-        const std::string path = dir + "/" + snapshot::window_file_name(w.index);
-        snapshot::WindowSummary sum = snapshot::summarize_window(w);
-        sum.snapshot_bytes = snapshot::write_window_snapshot(path, meta, w);
-        retention->add_window(sum, path);
-        const double stall = std::chrono::duration<double>(clock::now() - s0).count();
-        stall_total += stall;
-        stall_max = std::max(stall_max, stall);
-        peak_bytes = std::max(peak_bytes, retention->bytes_retained());
-      };
+    double stall_total = 0.0, stall_max = 0.0;
+    std::uint64_t rss_peak = 0, retained_peak = 0;
+    const auto checkpoint = [&](WindowShard&& w) {
+      const Stopwatch stall;
+      const std::string path = dir + "/" + snapshot::window_file_name(w.index);
+      snapshot::WindowSummary sum = snapshot::summarize_window(w);
+      sum.snapshot_bytes = snapshot::write_window_snapshot(path, meta, w);
+      retention->add_window(sum, path);
+      stall_total += stall.seconds();
+      stall_max = std::max(stall_max, stall.seconds());
+      rss_peak = std::max(rss_peak, sample_rss_kb());
+      retained_peak = std::max(retained_peak, retention->bytes_retained());
+    };
+    std::vector<PacketView> views(256);
+    const Stopwatch watch;
+    while (const std::size_t got = stream.next_batch(views.data(), views.size())) {
+      analyzer.feed(views.data(), got);
+      while (analyzer.window_complete()) checkpoint(analyzer.rotate());
+    }
+    checkpoint(analyzer.finish(&stream));
+    const double seconds = watch.seconds();
 
-      std::vector<PacketView> views(256);
-      const auto t0 = clock::now();
-      for (;;) {
-        const std::size_t got = stream.next_batch(views.data(), views.size());
-        if (got == 0) break;
-        analyzer.feed(views.data(), got);
-        while (analyzer.window_complete()) checkpoint(analyzer.rotate());
-      }
-      checkpoint(analyzer.finish(&stream));
-      const double seconds = std::chrono::duration<double>(clock::now() - t0).count();
+    const double windows = static_cast<double>(analyzer.windows_rotated());
+    std::size_t esnaps = 0;
+    for (const auto& f : std::filesystem::directory_iterator(dir)) {
+      esnaps += f.path().extension() == ".esnap" ? 1 : 0;
+    }
+    s.add("seconds", seconds);
+    s.add("pps", static_cast<double>(packets) / seconds);
+    s.add("rotation_stall_max_s", stall_max);
+    s.add("rotation_stall_mean_s", windows > 0 ? stall_total / windows : 0.0);
+    s.add("windows", windows);
+    s.add("peak_rss_kb", static_cast<double>(rss_peak));
+    s.add("evicted", static_cast<double>(analyzer.evicted_total()));
+    s.add("drained", static_cast<double>(analyzer.drained_total()));
+    s.add("sketch_folds", static_cast<double>(retention->sketch_folds()));
+    s.add("peak_retained_bytes", static_cast<double>(retained_peak));
+    s.add("final_retained_bytes", static_cast<double>(retention->bytes_retained()));
+    s.add("final_esnap_files", static_cast<double>(esnaps));
+  });
 
-      if (r == 0 || seconds < out.seconds) {
-        out.windows = analyzer.windows_rotated();
-        out.seconds = seconds;
-        out.pps = seconds > 0 ? static_cast<double>(packets) / seconds : 0.0;
-        out.max_stall_s = stall_max;
-        out.mean_stall_s =
-            analyzer.windows_rotated() > 0
-                ? stall_total / static_cast<double>(analyzer.windows_rotated())
-                : 0.0;
-        out.folds = retention->sketch_folds();
-        out.peak_retained_bytes = peak_bytes;
-        out.final_retained_bytes = retention->bytes_retained();
-        std::uint64_t esnaps = 0;
-        for (const auto& e : std::filesystem::directory_iterator(dir)) {
-          if (e.path().extension() == ".esnap") ++esnaps;
-        }
-        out.final_esnap_files = esnaps;
-      }
+  Json daemon_rows = Json::array(), retention_rows = Json::array();
+  for (std::size_t i = 0; i < std::size(configs); ++i) {
+    std::printf("  windows@%-4zu sketch-every %zu%s\n", configs[i].windows,
+                configs[i].sketch_every, samples[i].summary().c_str());
+    if (configs[i].sketch_every == 0) {
+      daemon_rows.push(samples[i].with(Json().set("target_windows", configs[i].windows)));
+    }
+    if (configs[i].windows == 128) {
+      retention_rows.push(samples[i].with(Json().set("sketches", configs[i].sketch_every != 0)));
     }
   }
-  std::filesystem::remove_all(dir);
-
-  for (const RetentionRun& r : runs) {
-    std::printf(
-        "  sketches=%-3s %8.3fs  %12.0f pps  (rotated %llu, stall max %.4fs mean %.4fs, "
-        "folds %llu, peak retained %llu KB, final %llu KB in %llu esnaps)\n",
-        r.sketches ? "on" : "off", r.seconds, r.pps,
-        static_cast<unsigned long long>(r.windows), r.max_stall_s, r.mean_stall_s,
-        static_cast<unsigned long long>(r.folds),
-        static_cast<unsigned long long>(r.peak_retained_bytes / 1024),
-        static_cast<unsigned long long>(r.final_retained_bytes / 1024),
-        static_cast<unsigned long long>(r.final_esnap_files));
-  }
-
-  g_retention_study.scale = scale;
-  g_retention_study.reps = reps;
-  g_retention_study.packets = packets;
-  g_retention_study.keep_full = kKeepFull;
-  g_retention_study.sketch_every = kSketchEvery;
-  g_retention_study.runs = runs;
-  g_retention_study.ok = true;
+  const auto section = [&](Json runs) {
+    return Json().set("dataset", "D3").set("scale", run.scale).set("packets", packets).set(
+        "runs", std::move(runs));
+  };
+  return Json()
+      .set("daemon", section(daemon_rows))
+      .set("retention", section(retention_rows)
+                            .set("keep_full", kKeepFull)
+                            .set("sketch_every", configs[3].sketch_every));
 }
 
-void run_pipeline_scaling() {
-  const double scale = benchutil::env_scale();
-  const int reps = env_int("ENTRACE_BENCH_REPS", 3);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D3", scale);
+// ---- scaling: analysis threads ------------------------------------------------
+
+// analyze_dataset on D3 at 1, 2, 4 and ENTRACE_THREADS threads (per-trace
+// jobs), with each count's efficiency against the 1-thread rate (1.0 =
+// perfect scaling).
+Json run_scaling_study(const Run& run) {
+  const EnterpriseModel model;
+  const DatasetSpec spec = dataset_by_name("D3", run.scale);
   const TraceSet set = generate_dataset(spec, model);
   const std::uint64_t packets = set.total_packets();
   AnalyzerConfig config = default_config_for_model(model.site());
-
-  std::printf("---- pipeline scaling (D3, scale %.3f, %llu packets over %zu traces, best of %d) ----\n",
-              scale, static_cast<unsigned long long>(packets), set.traces.size(), reps);
-
-  // Serial win first: seed two-pass double-decode vs fused single-decode.
-  const ScalingRun baseline = time_run("twopass-serial", 1, packets, reps, [&] {
-    const DatasetAnalysis a = analyze_dataset_twopass_baseline(set, config);
-    benchmark::DoNotOptimize(a.total_packets);
+  const std::set<std::size_t> counts = {1, 2, 4, ThreadPool::env_thread_count()};
+  const std::vector<std::size_t> threads(counts.begin(), counts.end());
+  std::printf("---- scaling (D3, scale %.3f, %llu packets, %zu traces, %u hardware threads) ----\n",
+              run.scale, static_cast<unsigned long long>(packets), set.traces.size(),
+              std::thread::hardware_concurrency());
+  const auto samples = interleave(threads.size(), run.reps, [&](std::size_t i, Samples& s) {
+    config.threads = threads[i];
+    const Stopwatch watch;
+    analyze_dataset(set, config);
+    const double seconds = watch.seconds();
+    s.add("seconds", seconds);
+    s.add("pps", static_cast<double>(packets) / seconds);
   });
-  std::printf("  %-16s %8.3fs  %12.0f pps  (seed baseline: 2 decode passes)\n",
-              baseline.label.c_str(), baseline.seconds, baseline.pps);
-
-  std::set<std::size_t> counts = {1, 2, 4, ThreadPool::env_thread_count()};
-  std::vector<ScalingRun> runs;
-  for (const std::size_t t : counts) {
-    config.threads = t;
-    runs.push_back(time_run("fused@" + std::to_string(t), t, packets, reps, [&] {
-      const DatasetAnalysis a = analyze_dataset(set, config);
-      benchmark::DoNotOptimize(a.total_packets);
-    }));
-    const ScalingRun& r = runs.back();
-    // Per-thread efficiency: fraction of the 1-thread rate each extra
-    // thread contributes (1.0 = perfect scaling).  On a single-core host
-    // every t > 1 run reports efficiency ~1/t — threads only add job
-    // scheduling overhead, so the 1-thread configuration is the crossover.
-    const double eff =
-        runs.front().pps > 0 ? r.pps / (static_cast<double>(t) * runs.front().pps) : 0.0;
-    std::printf("  %-16s %8.3fs  %12.0f pps  (%.2fx vs baseline, eff %.2f)\n",
-                r.label.c_str(), r.seconds, r.pps, baseline.seconds / r.seconds, eff);
+  Json rows = Json::array();
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    const double eff = samples[i].median("pps") /
+                       (static_cast<double>(threads[i]) * samples[0].median("pps"));
+    std::printf("  threads@%-3zu%s  efficiency %.2f\n", threads[i], samples[i].summary().c_str(),
+                eff);
+    rows.push(samples[i]
+                  .with(Json().set("threads", threads[i]).set("packets", packets))
+                  .set("efficiency_vs_1t", eff));
   }
-  std::printf("  single-decode fusion speedup (1 thread): %.2fx\n",
-              baseline.seconds / runs.front().seconds);
-  const auto fastest =
-      std::min_element(runs.begin(), runs.end(),
-                       [](const ScalingRun& a, const ScalingRun& b) { return a.seconds < b.seconds; });
-  std::printf("  thread crossover: fastest configuration is %s (per-trace jobs on %u hardware threads)\n",
-              fastest->label.c_str(), std::thread::hardware_concurrency());
+  return Json().set("dataset", "D3").set("scale", run.scale).set("runs", rows);
+}
 
+Json run_micro_study(const Run&) {
+  benchmark::RunSpecifiedBenchmarks();
+  return {};
+}
+
+// ---- the study table and its runner -------------------------------------------
+
+struct Study {
+  const char* name;
+  bool forks;    // fork()s: must start while this process has one thread
+  double scale;  // dataset scale; 0 = ENTRACE_SCALE
+  Json (*run)(const Run&);
+  const char* about;
+};
+
+const Study kStudies[] = {
+    {"memory", true, 0.05, run_memory_study,
+     "D1 peak RSS, materialized vs streaming (a forked child each)"},
+    {"snapshot", true, 0.02, run_snapshot_study,
+     "D1 .esnap encode, shard+merge over 1/2/4/8 forked processes"},
+    {"telemetry", false, 0.02, run_telemetry_study, "D1 collect_metrics off vs on (budget 2%)"},
+    {"batch", false, 0.0, run_batch_study, "D3 ingest at batch sizes 1..1024, stage seconds"},
+    {"dispatch", false, 0.01, run_dispatch_study,
+     "D0 direct vs subprocess and loopback TCP workers, 0/10/20% faults"},
+    {"replay", false, 0.02, run_replay_study,
+     "D3 daemon loop at 8/32/128 windows, sketch tiers off/on"},
+    {"scaling", false, 0.0, run_scaling_study, "D3 analysis at 1/2/4/ENTRACE_THREADS threads"},
+    {"micro", false, 0.0, run_micro_study, "google-benchmark suite (--benchmark_* flags)"},
+};
+constexpr double kSmokeScale = 0.002;
+
+std::size_t thread_count() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+       it.increment(ec)) {
+    ++n;
+  }
+  return std::max<std::size_t>(n, 1);
+}
+
+// Runs the studies forking ones first, keeping the given order otherwise.
+int run_studies(std::vector<const Study*> studies, bool smoke) {
+  std::stable_partition(studies.begin(), studies.end(), [](const Study* s) { return s->forks; });
+  const int reps = smoke ? 1 : std::max(1, cli::env_int("ENTRACE_BENCH_REPS", 5));
+  Json doc = Json()
+                 .set("benchmark", "pipeline_scaling")
+                 .set("reps", reps)
+                 .set("hardware_threads", std::thread::hardware_concurrency());
+  bool recorded = false;
+  for (const Study* study : studies) {
+    if (study->forks && thread_count() > 1) {
+      std::fprintf(stderr, "study %s forks, but this process already runs %zu threads\n",
+                   study->name, thread_count());
+      return 1;
+    }
+    const double scale = smoke              ? kSmokeScale
+                         : study->scale > 0 ? study->scale
+                                            : benchutil::env_scale();
+    try {
+      const Json sections = study->run({scale, reps, smoke});
+      recorded = recorded || !sections.empty();
+      doc.merge(sections);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "study %s failed: %s\n", study->name, e.what());
+      return 1;
+    }
+  }
+  if (smoke || !recorded) return 0;
   FILE* json = std::fopen("BENCH_pipeline.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"benchmark\": \"pipeline_scaling\",\n");
-    std::fprintf(json, "  \"dataset\": \"D3\",\n  \"scale\": %.4f,\n  \"reps\": %d,\n", scale,
-                 reps);
-    std::fprintf(json,
-                 "  \"baseline_twopass\": {\"threads\": 1, \"packets\": %llu, \"seconds\": "
-                 "%.6f, \"pps\": %.1f},\n",
-                 static_cast<unsigned long long>(baseline.packets), baseline.seconds,
-                 baseline.pps);
-    std::fprintf(json, "  \"runs\": [\n");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const double eff = runs.front().pps > 0
-                             ? runs[i].pps / (static_cast<double>(runs[i].threads) *
-                                              runs.front().pps)
-                             : 0.0;
-      std::fprintf(json,
-                   "    {\"threads\": %zu, \"packets\": %llu, \"seconds\": %.6f, \"pps\": "
-                   "%.1f, \"efficiency_vs_1t\": %.3f}%s\n",
-                   runs[i].threads, static_cast<unsigned long long>(runs[i].packets),
-                   runs[i].seconds, runs[i].pps, eff, i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n");
-    std::fprintf(json, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-    // Batch-size study (see run_batch_study): interleaved reps, stage
-    // seconds from the analyzer's obs::stage_timer.
-    if (g_batch_study.ok) {
-      std::fprintf(json,
-                   "  \"batch\": {\n    \"dataset\": \"D3\",\n    \"scale\": %.4f,\n"
-                   "    \"reps\": %d,\n    \"interleaved\": true,\n    \"packets\": %llu,\n",
-                   g_batch_study.scale, g_batch_study.reps,
-                   static_cast<unsigned long long>(g_batch_study.packets));
-      const std::vector<BatchRun>& runs = g_batch_study.runs;
-      std::fprintf(json, "    \"sweep\": [\n");
-      for (std::size_t i = 0; i < runs.size(); ++i) {
-        const BatchRun& r = runs[i];
-        std::fprintf(json,
-                     "      {\"batch_size\": %zu, \"seconds\": %.6f, \"pps\": %.1f, "
-                     "\"speedup_vs_batch1\": %.3f, \"stages\": {\"source\": %.6f, "
-                     "\"decode\": %.6f, \"tally\": %.6f, \"flow\": %.6f}}%s\n",
-                     r.batch_size, r.seconds, r.pps,
-                     r.seconds > 0 ? runs.front().seconds / r.seconds : 0.0, r.source_s,
-                     r.decode_s, r.tally_s, r.flow_s, i + 1 < runs.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
-    // Peak-RSS study results (see run_memory_study; empty on platforms
-    // without fork/getrusage).
-    std::fprintf(json, "  \"memory\": [\n");
-    for (std::size_t i = 0; i < g_memory_runs.size(); ++i) {
-      const MemoryRun& r = g_memory_runs[i];
-      std::fprintf(
-          json,
-          "    {\"label\": \"%s\", \"packets\": %llu, \"seconds\": %.3f, \"peak_rss_kb\": %llu}%s\n",
-          r.label.c_str(), static_cast<unsigned long long>(r.packets), r.seconds,
-          static_cast<unsigned long long>(r.peak_rss_kb),
-          i + 1 < g_memory_runs.size() ? "," : "");
-    }
-    if (g_memory_runs.size() == 2 && g_memory_runs[0].ok && g_memory_runs[1].ok &&
-        g_memory_runs[1].peak_rss_kb > 0) {
-      std::fprintf(json, "  ],\n  \"memory_rss_reduction\": %.2f,\n",
-                   static_cast<double>(g_memory_runs[0].peak_rss_kb) /
-                       static_cast<double>(g_memory_runs[1].peak_rss_kb));
-    } else {
-      std::fprintf(json, "  ],\n");
-    }
-    // Telemetry overhead study (see run_telemetry_overhead).
-    if (g_telemetry_study.ok) {
-      std::fprintf(json,
-                   "  \"telemetry\": {\"dataset\": \"D1\", \"scale\": %.4f, \"packets\": %llu, "
-                   "\"metrics_off_seconds\": %.6f, \"metrics_on_seconds\": %.6f, "
-                   "\"overhead_pct\": %.2f, \"budget_pct\": 2.0},\n",
-                   g_telemetry_study.scale,
-                   static_cast<unsigned long long>(g_telemetry_study.packets),
-                   g_telemetry_study.off_seconds, g_telemetry_study.on_seconds,
-                   g_telemetry_study.overhead_pct);
-    }
-    // Orchestration study (see run_orchestrate_study).
-    if (g_orchestrate_study.ok) {
-      std::fprintf(json,
-                   "  \"orchestrate\": {\n    \"dataset\": \"D0\",\n    \"scale\": %.4f,\n"
-                   "    \"workers\": %zu,\n    \"direct_seconds\": %.4f,\n    \"runs\": [\n",
-                   g_orchestrate_study.scale, g_orchestrate_study.workers,
-                   g_orchestrate_study.direct_seconds);
-      for (std::size_t i = 0; i < g_orchestrate_study.runs.size(); ++i) {
-        const OrchestrateRun& r = g_orchestrate_study.runs[i];
-        std::fprintf(json,
-                     "      {\"fault_rate\": %.2f, \"seconds\": %.4f, "
-                     "\"overhead_vs_direct\": %.3f, \"attempts\": %llu, \"retries\": %llu, "
-                     "\"faults\": %llu, \"complete\": %s}%s\n",
-                     r.fault_rate, r.seconds,
-                     g_orchestrate_study.direct_seconds > 0
-                         ? r.seconds / g_orchestrate_study.direct_seconds
-                         : 0.0,
-                     static_cast<unsigned long long>(r.attempts),
-                     static_cast<unsigned long long>(r.retries),
-                     static_cast<unsigned long long>(r.faults),
-                     r.complete ? "true" : "false",
-                     i + 1 < g_orchestrate_study.runs.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
-    // Cluster dispatch study (see run_cluster_study).
-    if (g_cluster_study.ok) {
-      std::fprintf(json,
-                   "  \"cluster\": {\n    \"dataset\": \"D0\",\n    \"scale\": %.4f,\n"
-                   "    \"direct_seconds\": %.4f,\n    \"runs\": [\n",
-                   g_cluster_study.scale, g_cluster_study.direct_seconds);
-      for (std::size_t i = 0; i < g_cluster_study.runs.size(); ++i) {
-        const ClusterRun& r = g_cluster_study.runs[i];
-        std::fprintf(json,
-                     "      {\"workers\": %zu, \"fault_rate\": %.2f, \"seconds\": %.4f, "
-                     "\"overhead_vs_direct\": %.3f, \"attempts\": %llu, \"retries\": %llu, "
-                     "\"faults\": %llu, \"complete\": %s}%s\n",
-                     r.workers, r.fault_rate, r.seconds,
-                     g_cluster_study.direct_seconds > 0
-                         ? r.seconds / g_cluster_study.direct_seconds
-                         : 0.0,
-                     static_cast<unsigned long long>(r.attempts),
-                     static_cast<unsigned long long>(r.retries),
-                     static_cast<unsigned long long>(r.faults),
-                     r.complete ? "true" : "false",
-                     i + 1 < g_cluster_study.runs.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
-    // Daemon steady-state study (see run_daemon_study).
-    if (g_daemon_study.ok) {
-      std::fprintf(json,
-                   "  \"daemon\": {\n    \"dataset\": \"D3\",\n    \"scale\": %.4f,\n"
-                   "    \"reps\": %d,\n    \"interleaved\": true,\n    \"packets\": %llu,\n"
-                   "    \"runs\": [\n",
-                   g_daemon_study.scale, g_daemon_study.reps,
-                   static_cast<unsigned long long>(g_daemon_study.packets));
-      for (std::size_t i = 0; i < g_daemon_study.runs.size(); ++i) {
-        const DaemonRun& r = g_daemon_study.runs[i];
-        std::fprintf(json,
-                     "      {\"target_windows\": %zu, \"windows\": %llu, \"seconds\": %.4f, "
-                     "\"pps\": %.1f, \"rotation_stall_max_s\": %.6f, "
-                     "\"rotation_stall_mean_s\": %.6f, \"peak_rss_kb\": %llu, "
-                     "\"evicted\": %llu, \"drained\": %llu}%s\n",
-                     r.target_windows, static_cast<unsigned long long>(r.windows), r.seconds,
-                     r.pps, r.max_stall_s, r.mean_stall_s,
-                     static_cast<unsigned long long>(r.peak_rss_kb),
-                     static_cast<unsigned long long>(r.evicted),
-                     static_cast<unsigned long long>(r.drained),
-                     i + 1 < g_daemon_study.runs.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
-    // Retention tiering study (see run_retention_study).
-    if (g_retention_study.ok) {
-      std::fprintf(json,
-                   "  \"retention\": {\n    \"dataset\": \"D3\",\n    \"scale\": %.4f,\n"
-                   "    \"reps\": %d,\n    \"interleaved\": true,\n    \"packets\": %llu,\n"
-                   "    \"keep_full\": %zu,\n    \"sketch_every\": %zu,\n    \"runs\": [\n",
-                   g_retention_study.scale, g_retention_study.reps,
-                   static_cast<unsigned long long>(g_retention_study.packets),
-                   g_retention_study.keep_full, g_retention_study.sketch_every);
-      for (std::size_t i = 0; i < g_retention_study.runs.size(); ++i) {
-        const RetentionRun& r = g_retention_study.runs[i];
-        std::fprintf(json,
-                     "      {\"sketches\": %s, \"windows\": %llu, \"seconds\": %.4f, "
-                     "\"pps\": %.1f, \"rotation_stall_max_s\": %.6f, "
-                     "\"rotation_stall_mean_s\": %.6f, \"sketch_folds\": %llu, "
-                     "\"peak_retained_bytes\": %llu, \"final_retained_bytes\": %llu, "
-                     "\"final_esnap_files\": %llu}%s\n",
-                     r.sketches ? "true" : "false",
-                     static_cast<unsigned long long>(r.windows), r.seconds, r.pps,
-                     r.max_stall_s, r.mean_stall_s, static_cast<unsigned long long>(r.folds),
-                     static_cast<unsigned long long>(r.peak_retained_bytes),
-                     static_cast<unsigned long long>(r.final_retained_bytes),
-                     static_cast<unsigned long long>(r.final_esnap_files),
-                     i + 1 < g_retention_study.runs.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
-    // Snapshot shard study (see run_snapshot_study; empty without fork).
-    std::fprintf(json,
-                 "  \"snapshot\": {\n    \"dataset\": \"D1\",\n    \"scale\": %.4f,\n"
-                 "    \"traces\": %zu,\n    \"encode_seconds\": %.4f,\n"
-                 "    \"encode_bytes\": %llu,\n    \"runs\": [\n",
-                 g_snapshot_study.scale, g_snapshot_study.traces,
-                 g_snapshot_study.encode_seconds,
-                 static_cast<unsigned long long>(g_snapshot_study.encode_bytes));
-    for (std::size_t i = 0; i < g_snapshot_study.runs.size(); ++i) {
-      const ShardRun& r = g_snapshot_study.runs[i];
-      std::fprintf(json,
-                   "      {\"shards\": %d, \"packets\": %llu, \"snapshot_bytes\": %llu, "
-                   "\"shard_seconds\": %.3f, \"decode_seconds\": %.4f, \"merge_seconds\": "
-                   "%.4f}%s\n",
-                   r.shards, static_cast<unsigned long long>(r.packets),
-                   static_cast<unsigned long long>(r.bytes), r.shard_seconds, r.decode_seconds,
-                   r.merge_seconds, i + 1 < g_snapshot_study.runs.size() ? "," : "");
-    }
-    std::fprintf(json, "    ]\n  }\n}\n");
-    std::fclose(json);
-    std::printf("  wrote BENCH_pipeline.json\n");
+  if (json == nullptr || std::fputs((doc.render() + "\n").c_str(), json) < 0) {
+    std::fprintf(stderr, "cannot write BENCH_pipeline.json\n");
+    return 1;
   }
+  std::fclose(json);
+  std::printf("wrote BENCH_pipeline.json\n");
+  return 0;
+}
+
+int usage(FILE* out, int status) {
+  std::fprintf(out,
+               "usage: bench_micro_pipeline [--study NAME[,NAME...]] [--smoke] "
+               "[--benchmark_* ...]\n"
+               "studies (default: all; forking studies run first):\n");
+  for (const Study& s : kStudies) std::fprintf(out, "  %-10s %s\n", s.name, s.about);
+  return status;
 }
 
 }  // namespace
 }  // namespace entrace
 
 int main(int argc, char** argv) {
+  using entrace::kStudies;
+  bool smoke = false;
+  std::vector<const entrace::Study*> studies;
+  std::string min_time = "--benchmark_min_time=0.01";
+  std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      // Harness self-test (CTest label "bench-smoke"): a tiny interleaved
-      // batch-size pass that exercises generation, the ingest loop at
-      // batch@1 and larger sizes, and the stage timers without writing
-      // BENCH_pipeline.json (only run_pipeline_scaling holds the
-      // JSON pen, and it does not run in smoke mode).
-      entrace::run_batch_study(0.002, 1);
-      if (!entrace::g_batch_study.ok || entrace::g_batch_study.packets == 0) {
-        std::fprintf(stderr, "smoke: batch study produced no packets\n");
-        return 1;
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return entrace::usage(stdout, 0);
+    if (arg == "--smoke") {
+      smoke = true;
+      rest.push_back(min_time.data());
+    } else if (arg == "--study" && i + 1 < argc) {
+      for (const std::string_view name : entrace::split(argv[++i], ',')) {
+        const auto* it = std::find_if(std::begin(kStudies), std::end(kStudies),
+                                      [&](const entrace::Study& s) { return name == s.name; });
+        if (it == std::end(kStudies)) {
+          std::fprintf(stderr, "unknown study '%.*s'\n", static_cast<int>(name.size()),
+                       name.data());
+          return entrace::usage(stderr, 2);
+        }
+        if (std::find(studies.begin(), studies.end(), it) == studies.end()) studies.push_back(it);
       }
-      std::printf("smoke ok\n");
-      return 0;
+    } else {
+      rest.push_back(argv[i]);
     }
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cluster-only") == 0) {
-      // Just the loopback-worker dispatch study, no JSON (only
-      // run_pipeline_scaling holds the JSON pen).
-      entrace::run_cluster_study();
-      return entrace::g_cluster_study.ok ? 0 : 1;
-    }
+  if (studies.empty()) {
+    for (const entrace::Study& s : kStudies) studies.push_back(&s);
   }
-  // The memory study must run before anything creates a thread: each
-  // measurement forks, and fork() from a multi-threaded parent is unsafe.
-  entrace::run_memory_study();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--memory-only") == 0) return 0;
+  int rest_argc = static_cast<int>(rest.size());
+  benchmark::Initialize(&rest_argc, rest.data());
+  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
+    return entrace::usage(stderr, 2);
   }
-  // Also fork()-based, so it too runs before any thread is created.
-  entrace::run_snapshot_study();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--snapshot-only") == 0) return 0;
-  }
-  entrace::run_telemetry_overhead();
-  entrace::run_batch_study(entrace::benchutil::env_scale(),
-                           entrace::cli::env_int("ENTRACE_BENCH_REPS", 3));
-  // Spawns workers via fork+exec (async-signal-safe), so unlike the studies
-  // above it is fine to run after threads have existed.
-  entrace::run_orchestrate_study();
-  // Loopback TCP workers on in-process threads (thread-safe by now: the
-  // fork-based studies above have already finished).
-  entrace::run_cluster_study();
-  entrace::run_daemon_study();
-  entrace::run_retention_study();
-  entrace::run_pipeline_scaling();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scaling-only") == 0) return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  const int status = entrace::run_studies(studies, smoke);
   benchmark::Shutdown();
-  return 0;
+  return status;
 }

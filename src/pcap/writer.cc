@@ -39,9 +39,14 @@ PcapWriter::~PcapWriter() = default;
 void PcapWriter::write(double ts, std::uint32_t wire_len, std::span<const std::uint8_t> data) {
   const std::uint32_t caplen =
       std::min<std::uint32_t>(static_cast<std::uint32_t>(data.size()), snaplen_);
+  // Round to whole microseconds before splitting, so a fraction that rounds
+  // up to 1e6 carries into the seconds field.
   ts = ts < 0 ? 0.0 : ts;
-  const auto sec = static_cast<std::uint32_t>(ts);
-  const auto usec = static_cast<std::uint32_t>(std::lround((ts - sec) * 1e6)) % 1000000;
+  const double whole = std::floor(ts);
+  const auto micros = static_cast<std::uint64_t>(whole) * 1000000 +
+                      static_cast<std::uint64_t>(std::lround((ts - whole) * 1e6));
+  const auto sec = static_cast<std::uint32_t>(micros / 1000000);
+  const auto usec = static_cast<std::uint32_t>(micros % 1000000);
 
   std::vector<std::uint8_t> rec;
   rec.reserve(pcapfmt::kRecordHeaderSize + caplen);

@@ -27,6 +27,7 @@
 #include <fstream>
 #include <mutex>
 #include <optional>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +68,35 @@ std::size_t resident_bytes() {
   std::size_t pages_total = 0, pages_resident = 0;
   f >> pages_total >> pages_resident;
   return pages_resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// One HTTP/1.0 GET against 127.0.0.1:port; the raw response, or "" when
+// the connection fails.
+std::string http_get(std::uint16_t port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return {};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return {};
+  }
+  const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
+  if (::send(fd, req.data(), req.size(), 0) != static_cast<ssize_t>(req.size())) {
+    ::close(fd);
+    return {};
+  }
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return out;
 }
 
 class DaemonTest : public ::testing::Test {
@@ -526,37 +556,10 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
        "--speedup", "30", "--retain", "1", "--sketch-every", "2",
        "--http-port", std::to_string(port)});
 
-  const auto fetch = [&](const std::string& path) -> std::string {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return {};
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      return {};
-    }
-    const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-    if (::send(fd, req.data(), req.size(), 0) != static_cast<ssize_t>(req.size())) {
-      ::close(fd);
-      return {};
-    }
-    std::string out;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-      out.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return out;
-  };
-
   // Wait for the HTTP server to come up.
   bool up = false;
   for (int i = 0; i < 100 && !up; ++i) {
-    up = !fetch("/healthz").empty();
+    up = !http_get(port, "/healthz").empty();
     if (!up) std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   ASSERT_TRUE(up) << "daemon never served /healthz on port " << port;
@@ -565,7 +568,7 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(8);
   while (std::chrono::steady_clock::now() < deadline) {
     if (child.poll().has_value()) break;  // replay ended early; stop polling
-    const std::string resp = fetch("/report");
+    const std::string resp = http_get(port, "/report");
     if (resp.empty()) continue;  // daemon exiting between poll and connect
     ASSERT_EQ(resp.find("HTTP/1.0 5"), std::string::npos)
         << "mid-run /report failed:\n" << resp.substr(0, 200);
@@ -576,7 +579,7 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   // Prove the polls overlapped real aging: a sketch must have been folded.
   // (With sketch-every 2 a pair of tier-1 sketches compacts straight into a
   // tier-2 file, dropping the tier-1 count back to 0 — either tier counts.)
-  const std::string status_json = fetch("/status.json");
+  const std::string status_json = http_get(port, "/status.json");
   if (!status_json.empty()) {
     EXPECT_TRUE(status_json.find("\"tier1_sketches\":0,\"tier2_sketches\":0,") ==
                 std::string::npos)
@@ -588,6 +591,48 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->success());
   fs::remove_all(dir);
+}
+
+// ---- the real daemon binary: --metrics-out matches /metrics ----------------
+
+// Every metric name a live /metrics scrape shows must also be in the
+// --metrics-out file written at exit.  /metrics.json is the /metrics
+// registry in JSON, which keeps the names unmangled.
+TEST_F(DaemonTest, DaemonBinaryMetricsOutNamesEveryLiveMetric) {
+  const fs::path dir = fs::temp_directory_path() / "entrace_daemon_metrics_out";
+  const fs::path metrics_file = fs::temp_directory_path() / "entrace_daemon_metrics_out.json";
+  fs::remove_all(dir);
+  fs::remove(metrics_file);
+  fs::create_directories(dir);
+  const std::uint16_t port = static_cast<std::uint16_t>(20000 + ::getpid() % 2000);
+  util::Subprocess child = util::Subprocess::spawn(
+      {ENTRACE_DAEMON_BIN, "D3", "0.002", "--out", dir.string(), "--window", "60", "--speedup",
+       "30", "--http-port", std::to_string(port), "--metrics-out", metrics_file.string()});
+
+  const std::regex name_re("\"([a-z0-9_.]+)\": \\{\"class\"");
+  std::vector<std::string> live_names;
+  for (int i = 0; i < 100 && live_names.empty(); ++i) {
+    const std::string resp = http_get(port, "/metrics.json");
+    for (std::sregex_iterator it(resp.begin(), resp.end(), name_re), end; it != end; ++it) {
+      live_names.push_back((*it)[1].str());
+    }
+    if (live_names.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  ::kill(child.pid(), SIGTERM);
+  const std::optional<util::ExitStatus> status = child.wait_for(120.0);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->success());
+  ASSERT_GE(live_names.size(), 12u) << "no /metrics.json scrape on port " << port;
+
+  std::ifstream in(metrics_file);
+  const std::string exit_metrics((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+  for (const std::string& name : live_names) {
+    EXPECT_NE(exit_metrics.find("\"" + name + "\": {"), std::string::npos)
+        << name << " is served by /metrics but missing from --metrics-out";
+  }
+  fs::remove_all(dir);
+  fs::remove(metrics_file);
 }
 
 // ---- the real daemon binary: strict flag parsing ----------------------------

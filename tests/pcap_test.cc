@@ -50,6 +50,26 @@ TEST(Pcap, WriteReadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A timestamp within half a microsecond below a whole second rounds up to
+// that second; it must not lose the carry and land a second early, before
+// a packet it followed.
+TEST(Pcap, MicrosecondRoundingCarriesIntoSeconds) {
+  const std::string path = temp_path("entrace_carry.pcap");
+  {
+    PcapWriter writer(path, 1500);
+    writer.write(sample_packet(5.2, 100));
+    writer.write(sample_packet(5.9999996, 100));
+  }
+  PcapReader reader(path);
+  const auto p1 = reader.next();
+  const auto p2 = reader.next();
+  ASSERT_TRUE(p1.has_value() && p2.has_value());
+  EXPECT_NEAR(p1->ts, 5.2, 1e-6);
+  EXPECT_NEAR(p2->ts, 6.0, 1e-6);
+  EXPECT_LT(p1->ts, p2->ts);
+  std::remove(path.c_str());
+}
+
 TEST(Pcap, SnaplenTruncatesButKeepsWireLen) {
   const std::string path = temp_path("entrace_snap.pcap");
   {

@@ -183,6 +183,42 @@ struct ReportCache {
   bool valid = false;
 };
 
+// The daemon.* and retention.* metrics over a status snapshot: the one
+// registry behind /metrics, /metrics.json and --metrics-out.  Caller holds
+// st.mu.
+void register_daemon_metrics(const DaemonStatus& st, obs::Registry& reg) {
+  using obs::MetricClass;
+  reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(st.packets);
+  reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
+      ->add(st.windows);
+  reg.counter("daemon.flows_drained", MetricClass::kSemantic,
+              "flows classified by end-of-stream drains")
+      ->add(st.drained);
+  reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
+      ->add(st.evicted);
+  reg.gauge("daemon.live_flows", MetricClass::kTiming, "live flow-table entries")
+      ->set(static_cast<double>(st.live_flows));
+  reg.gauge("daemon.stream_ts", MetricClass::kTiming, "latest capture timestamp ingested")
+      ->set(st.stream_ts);
+  reg.gauge("daemon.tier0_windows", MetricClass::kTiming, "full-resolution checkpoints kept")
+      ->set(static_cast<double>(st.tier0));
+  reg.counter("daemon.summarized_windows", MetricClass::kTiming,
+              "windows aged to the headline summary tier")
+      ->add(st.summarized);
+  reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
+            "tier-1 sketch files (K aged windows folded each)")
+      ->set(static_cast<double>(st.tier1_sketches));
+  reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
+            "tier-2 sketch files (K tier-1 sketches folded each)")
+      ->set(static_cast<double>(st.tier2_sketches));
+  reg.gauge("retention.bytes", MetricClass::kTiming,
+            "bytes retained across all tiers (checkpoints, sketches, summaries)")
+      ->set(static_cast<double>(st.retention_bytes));
+  reg.counter("retention.io_errors", MetricClass::kTiming,
+              "retention I/O failures (summary appends, removes, sketch folds)")
+      ->add(st.retention_io_errors);
+}
+
 obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const DatasetSpec& spec,
                               const AnalyzerConfig& config, const std::string& path) {
   if (path == "/healthz") return {200, "text/plain; charset=utf-8", "ok\n"};
@@ -221,37 +257,8 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const Datase
 
   std::lock_guard<std::mutex> lock(st.mu);
   if (path == "/metrics" || path == "/metrics.json") {
-    using obs::MetricClass;
     obs::Registry reg;
-    reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(st.packets);
-    reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
-        ->add(st.windows);
-    reg.counter("daemon.flows_drained", MetricClass::kSemantic,
-                "flows classified by end-of-stream drains")
-        ->add(st.drained);
-    reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
-        ->add(st.evicted);
-    reg.gauge("daemon.live_flows", MetricClass::kTiming, "live flow-table entries")
-        ->set(static_cast<double>(st.live_flows));
-    reg.gauge("daemon.stream_ts", MetricClass::kTiming, "latest capture timestamp ingested")
-        ->set(st.stream_ts);
-    reg.gauge("daemon.tier0_windows", MetricClass::kTiming, "full-resolution checkpoints kept")
-        ->set(static_cast<double>(st.tier0));
-    reg.counter("daemon.summarized_windows", MetricClass::kTiming,
-                "windows aged to the headline summary tier")
-        ->add(st.summarized);
-    reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
-              "tier-1 sketch files (K aged windows folded each)")
-        ->set(static_cast<double>(st.tier1_sketches));
-    reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
-              "tier-2 sketch files (K tier-1 sketches folded each)")
-        ->set(static_cast<double>(st.tier2_sketches));
-    reg.gauge("retention.bytes", MetricClass::kTiming,
-              "bytes retained across all tiers (checkpoints, sketches, summaries)")
-        ->set(static_cast<double>(st.retention_bytes));
-    reg.counter("retention.io_errors", MetricClass::kTiming,
-                "retention I/O failures (summary appends, removes, sketch folds)")
-        ->add(st.retention_io_errors);
+    register_daemon_metrics(st, reg);
     if (path == "/metrics") {
       return {200, "text/plain; version=0.0.4", obs::render_prometheus(reg)};
     }
@@ -543,6 +550,7 @@ int main(int argc, char** argv) {
   {
     std::lock_guard<std::mutex> lock(status.mu);
     status.packets = packets;
+    status.stream_ts = analyzer.max_ts();
     status.live_flows = analyzer.live_entries();
     status.drained = analyzer.drained_total();
     status.evicted = analyzer.evicted_total();
@@ -563,25 +571,10 @@ int main(int argc, char** argv) {
 
   if (!metrics_out.empty()) {
     obs::Registry reg;
-    using obs::MetricClass;
-    reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(packets);
-    reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
-        ->add(analyzer.windows_rotated());
-    reg.counter("daemon.flows_drained", MetricClass::kSemantic,
-                "flows classified by end-of-stream drains")
-        ->add(analyzer.drained_total());
-    reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
-        ->add(analyzer.evicted_total());
-    reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
-              "tier-1 sketch files at exit")
-        ->set(static_cast<double>(retention.tier1_sketch_count()));
-    reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
-              "tier-2 sketch files at exit")
-        ->set(static_cast<double>(retention.tier2_sketch_count()));
-    reg.gauge("retention.bytes", MetricClass::kTiming, "bytes retained across all tiers at exit")
-        ->set(static_cast<double>(retention.bytes_retained()));
-    reg.counter("retention.io_errors", MetricClass::kTiming, "retention I/O failures")
-        ->add(retention.io_errors());
+    {
+      std::lock_guard<std::mutex> lock(status.mu);
+      register_daemon_metrics(status, reg);
+    }
     try {
       obs::write_metrics_file(reg, metrics_out);
     } catch (const std::exception& e) {
