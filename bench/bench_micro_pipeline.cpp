@@ -33,10 +33,11 @@
 #include <type_traits>
 #include <vector>
 
-#include "bench_common.h"
 #include "cluster/coordinator.h"
 #include "cluster/worker.h"
+#include "core/analyzer.h"
 #include "core/incremental.h"
+#include "core/report.h"
 #include "flow/flow_table.h"
 #include "net/decoder.h"
 #include "orchestrate/supervisor.h"
@@ -48,8 +49,12 @@
 #include "snapshot/retention.h"
 #include "snapshot/window.h"
 #include "snapshot/writer.h"
+#include "synth/generator.h"
+#include "synth/synth_source.h"
+#include "util/cli.h"
 #include "util/stats.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace entrace {
 namespace {
@@ -979,7 +984,7 @@ int run_studies(std::vector<const Study*> studies, bool smoke) {
     }
     const double scale = smoke              ? kSmokeScale
                          : study->scale > 0 ? study->scale
-                                            : benchutil::env_scale();
+                                            : cli::env_scale();
     try {
       const Json sections = study->run({scale, reps, smoke});
       recorded = recorded || !sections.empty();

@@ -23,14 +23,18 @@ namespace {
 
 std::string pct(double f) { return format_pct(f); }
 
-bool has_payload(const ReportInput& in) {
-  return in.spec == nullptr || in.spec->payload_analysis();
-}
-
 std::vector<std::string> names_row(Inputs in, const std::string& head) {
   std::vector<std::string> row{head};
   for (const auto& i : in) row.push_back(i.analysis->name);
   return row;
+}
+
+// Adds the row: `label`, then get(x) for each x of `xs`.
+template <typename Xs, typename Get>
+void add_row(TextTable& t, const std::string& label, const Xs& xs, Get get) {
+  std::vector<std::string> r{label};
+  for (const auto& x : xs) r.push_back(get(x));
+  t.add_row(std::move(r));
 }
 
 }  // namespace
@@ -38,11 +42,7 @@ std::vector<std::string> names_row(Inputs in, const std::string& head) {
 std::string table1_datasets(Inputs in) {
   TextTable t("Table 1: Dataset characteristics (synthetic reproduction, scaled)");
   t.set_header(names_row(in, ""));
-  auto row = [&t, &in](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& i : in) r.push_back(getter(i));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, in, getter); };
   row("Duration", [](const ReportInput& i) {
     if (!i.spec) return std::string("?");
     const double d = i.spec->trace_duration;
@@ -74,10 +74,8 @@ std::string capture_quality(Inputs in) {
   TextTable t("Capture quality: per-dataset packet accounting "
               "(seen == decoded + dropped) and anomaly kinds");
   t.set_header(names_row(in, ""));
-  auto row = [&t, &in](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& i : in) r.push_back(getter(i.analysis->quality));
-    t.add_row(std::move(r));
+  auto row = [&](const std::string& label, auto getter) {
+    add_row(t, label, in, [&](const ReportInput& i) { return getter(i.analysis->quality); });
   };
   row("Seen", [](const CaptureQuality& q) { return format_count(q.packets_seen); });
   row("Decoded", [](const CaptureQuality& q) { return format_count(q.packets_ok); });
@@ -100,10 +98,8 @@ std::string table2_network_layer(Inputs in) {
   TextTable t("Table 2: Network-layer protocol mix (IP as % of all packets; "
               "ARP/IPX/Other as % of non-IP)");
   t.set_header(names_row(in, ""));
-  auto row = [&t, &in](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& i : in) r.push_back(getter(i.analysis->l3));
-    t.add_row(std::move(r));
+  auto row = [&](const std::string& label, auto getter) {
+    add_row(t, label, in, [&](const ReportInput& i) { return getter(i.analysis->l3); });
   };
   row("IP", [](const NetworkLayerBreakdown& b) { return pct(b.ip_fraction()); });
   row("!IP", [](const NetworkLayerBreakdown& b) { return pct(b.non_ip_fraction()); });
@@ -121,11 +117,7 @@ std::string table3_transport(Inputs in) {
   tb.reserve(in.size());
   for (const auto& i : in) tb.push_back(TransportBreakdown::compute(i.analysis->connections));
 
-  auto row = [&t, &tb](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& b : tb) r.push_back(getter(b));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, tb, getter); };
   row("Bytes", [](const TransportBreakdown& b) { return format_bytes(b.bytes); });
   row("TCP", [](const TransportBreakdown& b) { return pct(b.byte_fraction(ipproto::kTcp)); });
   row("UDP", [](const TransportBreakdown& b) { return pct(b.byte_fraction(ipproto::kUdp)); });
@@ -211,11 +203,7 @@ std::string origins_summary(Inputs in) {
   std::vector<OriginBreakdown> ob;
   for (const auto& i : in)
     ob.push_back(OriginBreakdown::compute(i.analysis->connections, i.analysis->site));
-  auto row = [&t, &ob](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& b : ob) r.push_back(getter(b));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, ob, getter); };
   row("ent -> ent", [](const OriginBreakdown& b) { return pct(b.fraction(b.ent_to_ent)); });
   row("ent -> wan", [](const OriginBreakdown& b) { return pct(b.fraction(b.ent_to_wan)); });
   row("wan -> ent", [](const OriginBreakdown& b) { return pct(b.fraction(b.wan_to_ent)); });
@@ -299,11 +287,7 @@ std::string http_findings(Inputs in) {
   TextTable t("HTTP findings (§5.1.1): success rates and conditional GETs");
   t.set_header(names_row(in, ""));
   auto https = http_for(in);
-  auto row = [&t, &https](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& h : https) r.push_back(getter(h));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, https, getter); };
   row("ent conn success (host pairs)",
       [](const HttpAnalysis& h) { return pct(h.ent_success.success_rate()); });
   row("wan conn success (host pairs)",
@@ -395,10 +379,8 @@ std::string table8_email_sizes(Inputs in) {
   TextTable t("Table 8: Email traffic size (payload bytes)");
   t.set_header(names_row(in, ""));
   auto emails = email_for(in);
-  auto row = [&t, &emails](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& e : emails) r.push_back(format_bytes(getter(e)));
-    t.add_row(std::move(r));
+  auto row = [&](const std::string& label, auto getter) {
+    add_row(t, label, emails, [&](const EmailAnalysis& e) { return format_bytes(getter(e)); });
   };
   row("SMTP", [](const EmailAnalysis& e) { return e.smtp_bytes; });
   row("SIMAP", [](const EmailAnalysis& e) { return e.imaps_bytes; });
@@ -429,11 +411,7 @@ std::string figure5_email_durations(Inputs in) {
   {
     TextTable t("Email success rates (host pairs)");
     t.set_header(names_row(in, ""));
-    auto row = [&t, &emails](const std::string& label, auto getter) {
-      std::vector<std::string> r{label};
-      for (const auto& e : emails) r.push_back(getter(e));
-      t.add_row(std::move(r));
-    };
+    auto row = [&](const std::string& label, auto getter) { add_row(t, label, emails, getter); };
     row("SMTP ent", [](const EmailAnalysis& e) { return pct(e.smtp_ent.success_rate()); });
     row("SMTP wan", [](const EmailAnalysis& e) { return pct(e.smtp_wan.success_rate()); });
     row("IMAP/S", [](const EmailAnalysis& e) { return pct(e.imaps_all.success_rate()); });
@@ -472,11 +450,7 @@ std::string name_service_findings(Inputs in) {
     names.push_back(
         NameAnalysis::compute(i.analysis->events.dns, i.analysis->events.nbns, i.analysis->site));
   }
-  auto row = [&t, &names](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& n : names) r.push_back(getter(n));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, names, getter); };
   row("DNS median latency ent (ms)", [](const NameAnalysis& n) {
     return n.dns_latency_ent.empty() ? std::string("-")
                                      : format_double(n.dns_latency_ent.median() * 1000, 2);
@@ -534,11 +508,7 @@ std::string table9_windows_success(Inputs in) {
   TextTable t("Table 9: Windows connection outcomes by host pairs (internal traffic)");
   t.set_header(names_row(in, ""));
   auto ws = windows_for(in);
-  auto row = [&t, &ws](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& w : ws) r.push_back(getter(w));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, ws, getter); };
   auto outcome = [](const HostPairOutcomes& o) {
     return std::to_string(o.pairs) + " pairs: " + format_pct(o.success_rate()) + " ok, " +
            format_pct(o.rejected_rate()) + " rej, " + format_pct(o.unanswered_rate()) + " unans";
@@ -637,11 +607,7 @@ std::string table12_netfile_sizes(Inputs in) {
   TextTable t("Table 12: NFS/NCP connections and bytes");
   t.set_header(names_row(in, ""));
   auto nf = netfile_for(in);
-  auto row = [&t, &nf](const std::string& label, auto getter) {
-    std::vector<std::string> r{label};
-    for (const auto& n : nf) r.push_back(getter(n));
-    t.add_row(std::move(r));
-  };
+  auto row = [&](const std::string& label, auto getter) { add_row(t, label, nf, getter); };
   row("NFS conns", [](const NetFileAnalysis& n) { return std::to_string(n.nfs_conns); });
   row("NFS bytes", [](const NetFileAnalysis& n) { return format_bytes(n.nfs_bytes); });
   row("NCP conns", [](const NetFileAnalysis& n) { return std::to_string(n.ncp_conns); });
@@ -871,42 +837,60 @@ std::string telemetry(Inputs in) {
   return out;
 }
 
-std::string full_report(Inputs in) {
+namespace {
+
+constexpr SectionEntry kSections[] = {
+    {"table1_datasets", Scope::kAll, table1_datasets},
+    {"capture_quality", Scope::kAll, capture_quality},
+    {"table2_network_layer", Scope::kAll, table2_network_layer},
+    {"table3_transport", Scope::kAll, table3_transport},
+    {"figure1_app_breakdown", Scope::kAll, figure1_app_breakdown},
+    {"origins_summary", Scope::kAll, origins_summary},
+    {"figure2_fan", Scope::kEach, [](Inputs in) { return figure2_fan(in.front()); }},
+    {"table6_http_automation", Scope::kPayload, table6_http_automation},
+    {"http_findings", Scope::kPayload, http_findings},
+    {"figure3_http_fanout", Scope::kPayload, figure3_http_fanout},
+    {"table7_http_content_types", Scope::kPayload, table7_http_content_types},
+    {"figure4_http_reply_sizes", Scope::kPayload, figure4_http_reply_sizes},
+    {"table8_email_sizes", Scope::kAll, table8_email_sizes},
+    {"figure5_email_durations", Scope::kAll, figure5_email_durations},
+    {"figure6_email_sizes", Scope::kAll, figure6_email_sizes},
+    {"name_service_findings", Scope::kPayload, name_service_findings},
+    {"table9_windows_success", Scope::kPayload, table9_windows_success},
+    {"table10_cifs_commands", Scope::kPayload, table10_cifs_commands},
+    {"table11_dcerpc_functions", Scope::kPayload, table11_dcerpc_functions},
+    {"table12_netfile_sizes", Scope::kAll, table12_netfile_sizes},
+    {"table13_nfs_requests", Scope::kPayload, table13_nfs_requests},
+    {"table14_ncp_requests", Scope::kPayload, table14_ncp_requests},
+    {"figure7_requests_per_pair", Scope::kPayload, figure7_requests_per_pair},
+    {"figure8_netfile_message_sizes", Scope::kPayload, figure8_netfile_message_sizes},
+    {"table15_backup", Scope::kAll, table15_backup},
+    {"figure9_utilization", Scope::kEach,
+     [](Inputs in) { return figure9_utilization(in.front()); }},
+    {"figure10_retransmissions", Scope::kAll, figure10_retransmissions},
+    {"telemetry", Scope::kAll, telemetry},
+};
+
+}  // namespace
+
+std::span<const SectionEntry> sections() { return kSections; }
+
+std::vector<ReportInput> payload_inputs(Inputs in) {
   std::vector<ReportInput> payload;
   for (const auto& i : in)
-    if (has_payload(i)) payload.push_back(i);
-  const Inputs pay(payload);
+    if (i.spec == nullptr || i.spec->payload_analysis()) payload.push_back(i);
+  return payload;
+}
 
+std::string full_report(Inputs in) {
+  const std::vector<ReportInput> payload = payload_inputs(in);
   std::string out;
-  out += table1_datasets(in);
-  out += "\n" + capture_quality(in);
-  out += "\n" + table2_network_layer(in);
-  out += "\n" + table3_transport(in);
-  out += "\n" + figure1_app_breakdown(in);
-  out += "\n" + origins_summary(in);
-  for (const auto& i : in) out += "\n" + figure2_fan(i);
-  out += "\n" + table6_http_automation(pay);
-  out += "\n" + http_findings(pay);
-  out += "\n" + figure3_http_fanout(pay);
-  out += "\n" + table7_http_content_types(pay);
-  out += "\n" + figure4_http_reply_sizes(pay);
-  out += "\n" + table8_email_sizes(in);
-  out += "\n" + figure5_email_durations(in);
-  out += "\n" + figure6_email_sizes(in);
-  out += "\n" + name_service_findings(pay);
-  out += "\n" + table9_windows_success(pay);
-  out += "\n" + table10_cifs_commands(pay);
-  out += "\n" + table11_dcerpc_functions(pay);
-  out += "\n" + table12_netfile_sizes(in);
-  out += "\n" + table13_nfs_requests(pay);
-  out += "\n" + table14_ncp_requests(pay);
-  out += "\n" + figure7_requests_per_pair(pay);
-  out += "\n" + figure8_netfile_message_sizes(pay);
-  out += "\n" + table15_backup(in);
-  for (const auto& i : in) out += "\n" + figure9_utilization(i);
-  out += "\n" + figure10_retransmissions(in);
-  const std::string tele = telemetry(in);
-  if (!tele.empty()) out += "\n" + tele;
+  const auto add = [&out](const std::string& text) {
+    if (text.empty()) return;
+    if (!out.empty()) out += '\n';
+    out += text;
+  };
+  for (const SectionEntry& s : kSections) s.for_each_rendering(in, payload, add);
   return out;
 }
 

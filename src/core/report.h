@@ -1,10 +1,13 @@
 // Rendering of every table and figure of the paper from DatasetAnalysis
-// results.  Each function returns printable text; the bench binaries pair
-// these with the paper's published values (see EXPERIMENTS.md).
+// results.  Each function returns printable text; sections() lists them in
+// report order, and bench/entrace_paper pairs them with the paper's
+// published values (see EXPERIMENTS.md).
 #pragma once
 
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "synth/dataset_spec.h"
@@ -56,7 +59,40 @@ std::string figure10_retransmissions(Inputs in);
 // via --metrics-out (obs::render_json / render_prometheus).
 std::string telemetry(Inputs in);
 
-// Everything above, in paper order.
+// Which of a report's inputs a section renders.
+enum class Scope {
+  kAll,      // every input at once
+  kPayload,  // the payload inputs (payload_inputs) at once
+  kEach,     // one input at a time, once per input
+};
+
+struct SectionEntry {
+  std::string_view name;  // stable key: golden digests, entrace_paper items
+  Scope scope;
+  std::string (*render)(Inputs in);  // kEach: called with one input
+
+  // Calls emit(text) for each rendering over `in` (`payload` is
+  // payload_inputs(in)): once per input for kEach, else once.
+  template <typename Emit>
+  void for_each_rendering(Inputs in, Inputs payload, Emit&& emit) const {
+    if (scope == Scope::kEach) {
+      for (const ReportInput& i : in) emit(render(Inputs(&i, 1)));
+    } else {
+      emit(render(scope == Scope::kPayload ? payload : in));
+    }
+  }
+};
+
+// Every section above, in paper order: the one section list behind
+// full_report, the golden digests and entrace_paper.
+std::span<const SectionEntry> sections();
+
+// The inputs whose dataset carries payload (a null spec counts as payload).
+std::vector<ReportInput> payload_inputs(Inputs in);
+
+// Every section's renderings in order, joined by "\n" (a kEach section
+// renders once per input); an empty rendering (telemetry without metrics)
+// is left out.
 std::string full_report(Inputs in);
 
 }  // namespace entrace::report

@@ -1,6 +1,6 @@
 // ASCII table rendering for benchmark / report output.
 //
-// Every bench binary reproduces one of the paper's tables; TextTable renders
+// Every report section reproduces one of the paper's tables; TextTable renders
 // them aligned with a header rule so the output can be diffed against
 // EXPERIMENTS.md.
 #pragma once

@@ -31,9 +31,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    const auto t0 = std::chrono::steady_clock::now();
     task();  // packaged_task: exceptions are captured into the future
-    record_task(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
 }
 

@@ -57,12 +57,14 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          const TaskTimer timer(*this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     if (workers_.empty()) {
-      const auto t0 = std::chrono::steady_clock::now();
       (*task)();
-      record_task(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
       return future;
     }
     {
@@ -85,6 +87,22 @@ class ThreadPool {
   static std::size_t env_thread_count();
 
  private:
+  // Counts one task into stats_ as it leaves scope, inside the task so
+  // that a task (even one that throws) is counted before its future is
+  // ready: whoever waited on the future then sees it in stats().
+  class TaskTimer {
+   public:
+    explicit TaskTimer(ThreadPool& pool) : pool_(pool) {}
+    ~TaskTimer() {
+      pool_.record_task(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count());
+    }
+
+   private:
+    ThreadPool& pool_;
+    const std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
+  };
+
   void worker_loop();
   void record_task(double seconds);
 

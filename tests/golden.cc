@@ -206,43 +206,15 @@ std::string row(const std::string& route, const std::string& section, std::uint3
 }  // namespace
 
 std::vector<Section> report_sections(const DatasetSpec& spec, const DatasetAnalysis& analysis) {
-  using namespace report;
-  const ReportInput in{&spec, &analysis};
-  const std::vector<ReportInput> all{in};
-  std::vector<ReportInput> payload;
-  if (spec.payload_analysis()) payload.push_back(in);
-  const Inputs pay(payload);
-  std::vector<Section> out = {
-      {"table1_datasets", table1_datasets(all)},
-      {"capture_quality", capture_quality(all)},
-      {"table2_network_layer", table2_network_layer(all)},
-      {"table3_transport", table3_transport(all)},
-      {"figure1_app_breakdown", figure1_app_breakdown(all)},
-      {"origins_summary", origins_summary(all)},
-      {"figure2_fan", figure2_fan(in)},
-      {"table6_http_automation", table6_http_automation(pay)},
-      {"http_findings", http_findings(pay)},
-      {"figure3_http_fanout", figure3_http_fanout(pay)},
-      {"table7_http_content_types", table7_http_content_types(pay)},
-      {"figure4_http_reply_sizes", figure4_http_reply_sizes(pay)},
-      {"table8_email_sizes", table8_email_sizes(all)},
-      {"figure5_email_durations", figure5_email_durations(all)},
-      {"figure6_email_sizes", figure6_email_sizes(all)},
-      {"name_service_findings", name_service_findings(pay)},
-      {"table9_windows_success", table9_windows_success(pay)},
-      {"table10_cifs_commands", table10_cifs_commands(pay)},
-      {"table11_dcerpc_functions", table11_dcerpc_functions(pay)},
-      {"table12_netfile_sizes", table12_netfile_sizes(all)},
-      {"table13_nfs_requests", table13_nfs_requests(pay)},
-      {"table14_ncp_requests", table14_ncp_requests(pay)},
-      {"figure7_requests_per_pair", figure7_requests_per_pair(pay)},
-      {"figure8_netfile_message_sizes", figure8_netfile_message_sizes(pay)},
-      {"table15_backup", table15_backup(all)},
-      {"figure9_utilization", figure9_utilization(in)},
-      {"figure10_retransmissions", figure10_retransmissions(all)},
-  };
-  std::string tele = telemetry(all);
-  if (!tele.empty()) out.push_back({"telemetry", std::move(tele)});
+  const report::ReportInput in{&spec, &analysis};
+  const report::Inputs all(&in, 1);
+  const std::vector<report::ReportInput> payload = report::payload_inputs(all);
+  std::vector<Section> out;
+  for (const report::SectionEntry& s : report::sections()) {
+    s.for_each_rendering(all, payload, [&](std::string text) {
+      if (!text.empty()) out.push_back({std::string(s.name), std::move(text)});
+    });
+  }
   return out;
 }
 

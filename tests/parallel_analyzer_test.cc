@@ -81,6 +81,20 @@ TEST(ThreadPool, ZeroAndOneThreadRunInline) {
   }
 }
 
+// stats() counts every task, a throwing one too, by the time
+// for_each_index returns, so a caller that reads it right after the call
+// sees all of them.
+TEST(ThreadPool, StatsCountEveryTaskBeforeForEachIndexReturns) {
+  ThreadPool pool(4);
+  for (std::uint64_t k = 1; k <= 200; ++k) {
+    pool.for_each_index(18, [](std::size_t) {});
+    ASSERT_EQ(pool.stats().tasks, 18 * k) << "after call " << k;
+  }
+  EXPECT_THROW(pool.for_each_index(1, [](std::size_t) { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  EXPECT_EQ(pool.stats().tasks, 18u * 200 + 1);
+}
+
 TEST(ThreadPool, ForEachIndexZeroIsNoop) {
   ThreadPool pool(2);
   pool.for_each_index(0, [](std::size_t) { FAIL() << "must not run"; });

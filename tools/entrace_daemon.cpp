@@ -18,7 +18,7 @@
 //   /window/latest  summary of the most recently checkpointed window
 //   /report         full paper report folded across every retained tier
 //                   (tier-2 + tier-1 sketches, aged windows, tier-0)
-//   /status.json    event-loop status (windows, packets, live flows, ...)
+//   /status.json    the /metrics.json body, under the older status path
 //   /healthz        liveness
 //
 // SIGTERM/SIGINT drain gracefully: the loop stops pulling, still-open flows
@@ -39,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -184,8 +183,8 @@ struct ReportCache {
 };
 
 // The daemon.* and retention.* metrics over a status snapshot: the one
-// registry behind /metrics, /metrics.json and --metrics-out.  Caller holds
-// st.mu.
+// registry behind /metrics, /metrics.json, /status.json and --metrics-out.
+// Caller holds st.mu.
 void register_daemon_metrics(const DaemonStatus& st, obs::Registry& reg) {
   using obs::MetricClass;
   reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(st.packets);
@@ -205,6 +204,9 @@ void register_daemon_metrics(const DaemonStatus& st, obs::Registry& reg) {
   reg.counter("daemon.summarized_windows", MetricClass::kTiming,
               "windows aged to the headline summary tier")
       ->add(st.summarized);
+  reg.gauge("daemon.pending_sketch_windows", MetricClass::kTiming,
+            "aged windows awaiting a tier-1 sketch fold")
+      ->set(static_cast<double>(st.pending_sketch));
   reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
             "tier-1 sketch files (K aged windows folded each)")
       ->set(static_cast<double>(st.tier1_sketches));
@@ -217,6 +219,8 @@ void register_daemon_metrics(const DaemonStatus& st, obs::Registry& reg) {
   reg.counter("retention.io_errors", MetricClass::kTiming,
               "retention I/O failures (summary appends, removes, sketch folds)")
       ->add(st.retention_io_errors);
+  reg.gauge("daemon.draining", MetricClass::kTiming, "1 once SIGTERM/SIGINT started the drain")
+      ->set(st.draining ? 1.0 : 0.0);
 }
 
 obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const DatasetSpec& spec,
@@ -256,7 +260,7 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const Datase
   }
 
   std::lock_guard<std::mutex> lock(st.mu);
-  if (path == "/metrics" || path == "/metrics.json") {
+  if (path == "/metrics" || path == "/metrics.json" || path == "/status.json") {
     obs::Registry reg;
     register_daemon_metrics(st, reg);
     if (path == "/metrics") {
@@ -269,21 +273,6 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const Datase
       return {404, "text/plain; charset=utf-8", "no window checkpointed yet\n"};
     }
     return {200, "application/json", st.latest_window_json + "\n"};
-  }
-  if (path == "/status.json") {
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"packets\":" << st.packets << ",\"windows_rotated\":" << st.windows
-        << ",\"stream_ts\":" << st.stream_ts << ",\"live_flows\":" << st.live_flows
-        << ",\"flows_drained\":" << st.drained << ",\"flows_evicted\":" << st.evicted
-        << ",\"tier0_windows\":" << st.tier0 << ",\"summarized_windows\":" << st.summarized
-        << ",\"pending_sketch_windows\":" << st.pending_sketch
-        << ",\"tier1_sketches\":" << st.tier1_sketches
-        << ",\"tier2_sketches\":" << st.tier2_sketches
-        << ",\"retention_bytes\":" << st.retention_bytes
-        << ",\"retention_io_errors\":" << st.retention_io_errors
-        << ",\"draining\":" << (st.draining ? "true" : "false") << "}\n";
-    return {200, "application/json", out.str()};
   }
   return {404, "text/plain; charset=utf-8", "unknown path\n"};
 }
