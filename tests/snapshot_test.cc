@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <random>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,19 +72,24 @@ class SnapshotTest : public ::testing::Test {
     return path;
   }
 
-  static std::vector<std::uint8_t> file_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  // Analyze traces [lo, hi) and encode them through the stream-sink
+  // writer: the snapshot image without a filesystem round trip.
+  static std::vector<std::uint8_t> encode_range(std::size_t lo, std::size_t hi) {
+    std::vector<TraceShard> shards = analyze_trace_shards(sources(), config(), lo, hi);
+    std::ostringstream sink(std::ios::binary);
+    snap::SnapshotWriter writer(sink, meta());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      writer.add_shard(static_cast<std::uint32_t>(lo + i), shards[i]);
+    }
+    writer.close();
+    const std::string image = sink.str();
+    return {image.begin(), image.end()};
   }
 
-  // A valid single-trace snapshot image for the fault-injection tests.
+  // A valid single-trace snapshot image (trace 0) for the byte-identity
+  // and fault-injection tests.
   static const std::vector<std::uint8_t>& valid_image() {
-    static const std::vector<std::uint8_t> bytes = [] {
-      const std::string path = write_range("entrace_snap_valid.esnap", 0, 1);
-      std::vector<std::uint8_t> b = file_bytes(path);
-      std::filesystem::remove(path);
-      return b;
-    }();
+    static const std::vector<std::uint8_t> bytes = encode_range(0, 1);
     return bytes;
   }
 
@@ -263,12 +270,63 @@ TEST_F(SnapshotTest, MergeIsIndependentOfShardFileOrder) {
   EXPECT_EQ(forward, reversed);
 }
 
+// ---- byte identity ----------------------------------------------------------
+
+// The encoded bytes themselves, not only what they decode to: trace 0 of
+// D0@0.004 through the stream-sink writer, pinned by length and CRC-32.  A
+// codec change that moves, widens or reframes any byte fails here even when
+// it still round-trips.  Change these constants only with a kFormatVersion
+// bump.
+TEST_F(SnapshotTest, EncodedImageIsPinnedByLengthAndCrc) {
+  const std::vector<std::uint8_t>& image = valid_image();
+  EXPECT_EQ(image.size(), 38747u);
+  EXPECT_EQ(snap::crc32(image), 0x0F51CBE4u);
+}
+
+// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the definition the
+// table-driven snap::crc32 must agree with.
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotCrc32, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(snap::crc32({reinterpret_cast<const std::uint8_t*>(check.data()), check.size()}),
+            0xCBF43926u);
+  EXPECT_EQ(snap::crc32({}), 0u);
+}
+
+// Every start offset 0-7 (so 8-byte strides begin at each alignment) and
+// lengths that exercise the tail alone, body plus tail, and long runs.
+TEST(SnapshotCrc32, MatchesBitwiseReferenceAtEveryOffsetAndLength) {
+  std::mt19937 rng(17);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 80; ++n) lengths.push_back(n);
+  std::uniform_int_distribution<std::size_t> pick(81, 4095);
+  for (int i = 0; i < 64; ++i) lengths.push_back(pick(rng));
+  lengths.push_back(4096);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t n : lengths) {
+      const std::span<const std::uint8_t> bytes(buf.data() + offset, n);
+      ASSERT_EQ(snap::crc32(bytes), bitwise_crc32(bytes)) << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 // ---- untrusted input --------------------------------------------------------
 
 using snap::SnapshotError;
 
 TEST_F(SnapshotTest, RejectsWrongMagic) {
   std::vector<std::uint8_t> bytes = valid_image();
+  ASSERT_GT(bytes.size(), snap::kHeaderSize);
   bytes[3] ^= 0xFF;
   try {
     snap::decode_snapshot(bytes);
@@ -282,6 +340,7 @@ TEST_F(SnapshotTest, RejectsWrongMagic) {
 
 TEST_F(SnapshotTest, RejectsFutureFormatVersion) {
   std::vector<std::uint8_t> bytes = valid_image();
+  ASSERT_GT(bytes.size(), snap::kHeaderSize);
   bytes[snap::kMagicSize] = 99;  // version u32 LE low byte
   try {
     snap::decode_snapshot(bytes);
@@ -335,6 +394,7 @@ TEST_F(SnapshotTest, RejectsFlippedPayloadBitViaCrc) {
 
 TEST_F(SnapshotTest, RejectsUnknownSectionType) {
   std::vector<std::uint8_t> bytes = valid_image();
+  ASSERT_GT(bytes.size(), snap::kHeaderSize);
   // The first section starts right after the header; overwrite its type
   // with an unassigned id.  (CRC covers the payload only, so the type is
   // validated structurally.)
