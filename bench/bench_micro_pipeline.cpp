@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -499,22 +500,33 @@ Json run_snapshot_study(const Run& run) {
   std::printf("---- snapshot: multi-process shard + merge (D1, scale %.3f) ----\n", run.scale);
 
   // Encode cost apart from analysis: analyze once here, then time only the
-  // SnapshotWriter pass (configuration 0; 1.. are the shard counts).
+  // SnapshotWriter pass (configuration 0; 1.. are the shard counts), once
+  // into a file and once into memory, which splits codec time from
+  // filesystem time.
   const std::vector<TraceShard> analyzed =
       analyze_trace_shards(sources, config, 0, sources.size());
+  const snapshot::SnapshotMeta meta{spec.name, spec.scale,
+                                    static_cast<std::uint32_t>(analyzed.size())};
+  const auto encode_all = [&analyzed](snapshot::SnapshotWriter& writer) {
+    for (std::size_t t = 0; t < analyzed.size(); ++t) {
+      writer.add_shard(static_cast<std::uint32_t>(t), analyzed[t]);
+    }
+    writer.close();
+  };
   const std::size_t shard_counts[] = {1, 2, 4, 8};
   const auto samples = interleave(1 + std::size(shard_counts), run.reps,
                                   [&](std::size_t i, Samples& s) {
     if (i > 0) return measure_sharded(spec, sources, config, shard_counts[i - 1], dir, s);
     const Stopwatch watch;
-    snapshot::SnapshotWriter writer(
-        dir + "/encode.esnap", {spec.name, spec.scale, static_cast<std::uint32_t>(analyzed.size())});
-    for (std::size_t t = 0; t < analyzed.size(); ++t) {
-      writer.add_shard(static_cast<std::uint32_t>(t), analyzed[t]);
-    }
-    writer.close();
+    snapshot::SnapshotWriter writer(dir + "/encode.esnap", meta);
+    encode_all(writer);
     s.add("encode_seconds", watch.seconds());
     s.add("encode_bytes", static_cast<double>(writer.bytes_written()));
+    std::ostringstream sink(std::ios::binary);
+    const Stopwatch mem_watch;
+    snapshot::SnapshotWriter mem_writer(sink, meta);
+    encode_all(mem_writer);
+    s.add("encode_mem_seconds", mem_watch.seconds());
   });
 
   Json section = samples[0].with(

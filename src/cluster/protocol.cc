@@ -11,6 +11,7 @@ namespace {
 using snapshot::ByteReader;
 using snapshot::ByteWriter;
 using snapshot::crc32;
+using snapshot::store_le;
 
 std::uint32_t read_le32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
@@ -62,14 +63,13 @@ const char* to_string(MsgType type) {
 }
 
 std::vector<std::uint8_t> encode_frame(MsgType type, std::span<const std::uint8_t> payload) {
-  ByteWriter w;
-  for (char c : kFrameMagic) w.u8(static_cast<std::uint8_t>(c));
-  w.u32(static_cast<std::uint32_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> out = w.bytes();
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(payload);
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  std::vector<std::uint8_t> out(kFrameHeaderSize + payload.size() + kFrameTrailerSize);
+  std::uint8_t* p = out.data();
+  std::memcpy(p, kFrameMagic, kFrameMagicSize);
+  store_le(p + kFrameMagicSize, static_cast<std::uint32_t>(type), 4);
+  store_le(p + kFrameMagicSize + 4, payload.size(), 4);
+  if (!payload.empty()) std::memcpy(p + kFrameHeaderSize, payload.data(), payload.size());
+  store_le(p + kFrameHeaderSize + payload.size(), crc32(payload), 4);
   return out;
 }
 
@@ -200,9 +200,8 @@ std::vector<std::uint8_t> SnapshotChunkMsg::encode() const {
   w.u64(job_id);
   w.u64(offset);
   w.u32(static_cast<std::uint32_t>(bytes.size()));
-  std::vector<std::uint8_t> payload = w.bytes();
-  payload.insert(payload.end(), bytes.begin(), bytes.end());
-  return encode_frame(MsgType::kSnapshotChunk, payload);
+  w.raw(bytes);
+  return encode_frame(MsgType::kSnapshotChunk, w.bytes());
 }
 
 SnapshotChunkMsg SnapshotChunkMsg::decode(const Frame& frame) {

@@ -4,7 +4,10 @@
 //
 // Layout: linear probing over a power-of-two slot array at <=0.7 load, one
 // 24-byte slot per flow (16-byte key + 4-byte index), no per-node heap
-// allocation and exactly one cache line touched for most probes.  Deletion
+// allocation and exactly one cache line touched for most probes.  The slot
+// array is allocated on the first insert: most tables (window deltas,
+// decoded snapshots, merged shards) only hold exported connections and are
+// never probed, so a default-constructed map costs no allocation.  Deletion
 // uses backward shifting instead of tombstones because the analyzer's
 // UDP/ICMP idle splits and TCP tuple reuse churn keys heavily within a
 // trace, and tombstone build-up would degrade probes over time.
@@ -26,11 +29,10 @@ class FlowMap {
  public:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  FlowMap() { slots_.resize(kInitialCapacity); }
-
   // Slot handle of the key, or kNoSlot.  Handles are invalidated by
   // insert() (rehash may move slots) and erase_slot().
   std::size_t find_slot(std::uint64_t lo, std::uint64_t hi) const {
+    if (slots_.empty()) return kNoSlot;
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = hash_packed_tuple(lo, hi) & mask;
     while (true) {
@@ -98,7 +100,7 @@ class FlowMap {
 
   void grow() {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
+    slots_.assign(old.empty() ? kInitialCapacity : old.size() * 2, Slot{});
     for (const Slot& s : old) {
       if (s.idx != kEmpty) insert_no_grow(s.lo, s.hi, s.idx);
     }

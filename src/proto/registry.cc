@@ -141,73 +141,88 @@ AppCategory category_of(AppProtocol p) {
   return AppCategory::kOtherTcp;  // caller refines unknown by transport
 }
 
-AppRegistry::AppRegistry() {
-  auto tcp = [this](std::uint16_t port, AppProtocol p) { ports_[{ipproto::kTcp, port}] = p; };
-  auto udp = [this](std::uint16_t port, AppProtocol p) { ports_[{ipproto::kUdp, port}] = p; };
+namespace {
 
-  tcp(ports::kHttp, AppProtocol::kHttp);
-  tcp(ports::kHttpAlt, AppProtocol::kHttp);
-  tcp(ports::kHttps, AppProtocol::kHttps);
-  tcp(ports::kSmtp, AppProtocol::kSmtp);
-  tcp(ports::kImap4, AppProtocol::kImap4);
-  tcp(ports::kImapS, AppProtocol::kImapS);
-  tcp(ports::kPop3, AppProtocol::kPop3);
-  tcp(ports::kPopS, AppProtocol::kPopS);
-  tcp(ports::kLdap, AppProtocol::kLdap);
-  udp(ports::kLdap, AppProtocol::kLdap);
-  tcp(ports::kFtp, AppProtocol::kFtp);
-  tcp(ports::kFtpData, AppProtocol::kFtpData);
-  tcp(ports::kHpss, AppProtocol::kHpss);
-  tcp(ports::kSsh, AppProtocol::kSsh);
-  tcp(ports::kTelnet, AppProtocol::kTelnet);
-  tcp(ports::kRlogin, AppProtocol::kRlogin);
-  tcp(ports::kX11, AppProtocol::kX11);
-  tcp(ports::kDns, AppProtocol::kDns);
-  udp(ports::kDns, AppProtocol::kDns);
-  udp(ports::kNetbiosNs, AppProtocol::kNetbiosNs);
-  udp(ports::kNetbiosDgm, AppProtocol::kNetbiosDgm);
-  tcp(ports::kNetbiosSsn, AppProtocol::kNetbiosSsn);
-  tcp(ports::kSrvLoc, AppProtocol::kSrvLoc);
-  udp(ports::kSrvLoc, AppProtocol::kSrvLoc);
-  tcp(ports::kPortmap, AppProtocol::kSunRpcPortmap);
-  udp(ports::kPortmap, AppProtocol::kSunRpcPortmap);
-  tcp(ports::kNfs, AppProtocol::kNfs);
-  udp(ports::kNfs, AppProtocol::kNfs);
-  tcp(ports::kNcp, AppProtocol::kNcp);
-  udp(ports::kDhcpServer, AppProtocol::kDhcp);
-  udp(ports::kDhcpClient, AppProtocol::kDhcp);
-  tcp(ports::kIdent, AppProtocol::kIdent);
-  udp(ports::kNtp, AppProtocol::kNtp);
-  udp(ports::kSnmp, AppProtocol::kSnmp);
-  udp(ports::kNavPing, AppProtocol::kNavPing);
-  udp(ports::kSap, AppProtocol::kSap);
-  udp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal);
-  tcp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal);
-  tcp(ports::kRtsp, AppProtocol::kRtsp);
-  udp(ports::kIpVideo, AppProtocol::kIpVideo);
-  tcp(ports::kRealStream, AppProtocol::kRealStream);
-  udp(ports::kRealStream, AppProtocol::kRealStream);
-  tcp(ports::kCifs, AppProtocol::kCifs);
-  tcp(ports::kEpm, AppProtocol::kEndpointMapper);
-  udp(ports::kEpm, AppProtocol::kEndpointMapper);
-  tcp(ports::kVeritasCtrl, AppProtocol::kVeritasCtrl);
-  tcp(ports::kVeritasData, AppProtocol::kVeritasData);
-  tcp(ports::kDantz, AppProtocol::kDantz);
-  udp(ports::kDantz, AppProtocol::kDantz);
-  tcp(ports::kConnected, AppProtocol::kConnectedBackup);
-  tcp(ports::kSteltor, AppProtocol::kSteltor);
-  tcp(ports::kMetaSys, AppProtocol::kMetaSys);
-  udp(ports::kMetaSys, AppProtocol::kMetaSys);
-  tcp(ports::kLpd, AppProtocol::kLpd);
-  tcp(ports::kIpp, AppProtocol::kIpp);
-  tcp(ports::kOracleSql, AppProtocol::kOracleSql);
-  tcp(ports::kMsSql, AppProtocol::kMsSql);
-  udp(ports::kMsSql, AppProtocol::kMsSql);
+using PortTable = std::map<std::pair<std::uint8_t, std::uint16_t>, AppProtocol>;
+
+// The well-known (proto, port) table.  It is the same in every registry,
+// so it is built once rather than per registry: every TraceShard carries a
+// registry, and the windowed engine makes one per trace per window.
+const PortTable& well_known_ports() {
+  static const PortTable table = [] {
+    PortTable t;
+    auto tcp = [&t](std::uint16_t port, AppProtocol p) { t[{ipproto::kTcp, port}] = p; };
+    auto udp = [&t](std::uint16_t port, AppProtocol p) { t[{ipproto::kUdp, port}] = p; };
+
+    tcp(ports::kHttp, AppProtocol::kHttp);
+    tcp(ports::kHttpAlt, AppProtocol::kHttp);
+    tcp(ports::kHttps, AppProtocol::kHttps);
+    tcp(ports::kSmtp, AppProtocol::kSmtp);
+    tcp(ports::kImap4, AppProtocol::kImap4);
+    tcp(ports::kImapS, AppProtocol::kImapS);
+    tcp(ports::kPop3, AppProtocol::kPop3);
+    tcp(ports::kPopS, AppProtocol::kPopS);
+    tcp(ports::kLdap, AppProtocol::kLdap);
+    udp(ports::kLdap, AppProtocol::kLdap);
+    tcp(ports::kFtp, AppProtocol::kFtp);
+    tcp(ports::kFtpData, AppProtocol::kFtpData);
+    tcp(ports::kHpss, AppProtocol::kHpss);
+    tcp(ports::kSsh, AppProtocol::kSsh);
+    tcp(ports::kTelnet, AppProtocol::kTelnet);
+    tcp(ports::kRlogin, AppProtocol::kRlogin);
+    tcp(ports::kX11, AppProtocol::kX11);
+    tcp(ports::kDns, AppProtocol::kDns);
+    udp(ports::kDns, AppProtocol::kDns);
+    udp(ports::kNetbiosNs, AppProtocol::kNetbiosNs);
+    udp(ports::kNetbiosDgm, AppProtocol::kNetbiosDgm);
+    tcp(ports::kNetbiosSsn, AppProtocol::kNetbiosSsn);
+    tcp(ports::kSrvLoc, AppProtocol::kSrvLoc);
+    udp(ports::kSrvLoc, AppProtocol::kSrvLoc);
+    tcp(ports::kPortmap, AppProtocol::kSunRpcPortmap);
+    udp(ports::kPortmap, AppProtocol::kSunRpcPortmap);
+    tcp(ports::kNfs, AppProtocol::kNfs);
+    udp(ports::kNfs, AppProtocol::kNfs);
+    tcp(ports::kNcp, AppProtocol::kNcp);
+    udp(ports::kDhcpServer, AppProtocol::kDhcp);
+    udp(ports::kDhcpClient, AppProtocol::kDhcp);
+    tcp(ports::kIdent, AppProtocol::kIdent);
+    udp(ports::kNtp, AppProtocol::kNtp);
+    udp(ports::kSnmp, AppProtocol::kSnmp);
+    udp(ports::kNavPing, AppProtocol::kNavPing);
+    udp(ports::kSap, AppProtocol::kSap);
+    udp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal);
+    tcp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal);
+    tcp(ports::kRtsp, AppProtocol::kRtsp);
+    udp(ports::kIpVideo, AppProtocol::kIpVideo);
+    tcp(ports::kRealStream, AppProtocol::kRealStream);
+    udp(ports::kRealStream, AppProtocol::kRealStream);
+    tcp(ports::kCifs, AppProtocol::kCifs);
+    tcp(ports::kEpm, AppProtocol::kEndpointMapper);
+    udp(ports::kEpm, AppProtocol::kEndpointMapper);
+    tcp(ports::kVeritasCtrl, AppProtocol::kVeritasCtrl);
+    tcp(ports::kVeritasData, AppProtocol::kVeritasData);
+    tcp(ports::kDantz, AppProtocol::kDantz);
+    udp(ports::kDantz, AppProtocol::kDantz);
+    tcp(ports::kConnected, AppProtocol::kConnectedBackup);
+    tcp(ports::kSteltor, AppProtocol::kSteltor);
+    tcp(ports::kMetaSys, AppProtocol::kMetaSys);
+    udp(ports::kMetaSys, AppProtocol::kMetaSys);
+    tcp(ports::kLpd, AppProtocol::kLpd);
+    tcp(ports::kIpp, AppProtocol::kIpp);
+    tcp(ports::kOracleSql, AppProtocol::kOracleSql);
+    tcp(ports::kMsSql, AppProtocol::kMsSql);
+    udp(ports::kMsSql, AppProtocol::kMsSql);
+    return t;
+  }();
+  return table;
 }
 
+}  // namespace
+
 AppProtocol AppRegistry::lookup(std::uint8_t proto, std::uint16_t port) const {
-  auto it = ports_.find({proto, port});
-  return it == ports_.end() ? AppProtocol::kUnknown : it->second;
+  const PortTable& ports = well_known_ports();
+  const auto it = ports.find({proto, port});
+  return it == ports.end() ? AppProtocol::kUnknown : it->second;
 }
 
 AppProtocol AppRegistry::identify(const Connection& conn) const {

@@ -152,8 +152,6 @@ inline constexpr std::uint16_t kMsSql = 1433;
 
 class AppRegistry {
  public:
-  AppRegistry();
-
   // Identify a connection by its (proto, port) pair, preferring the
   // responder port, falling back to the originator port, then to any
   // dynamically registered DCE/RPC endpoint.
@@ -179,7 +177,6 @@ class AppRegistry {
  private:
   AppProtocol lookup(std::uint8_t proto, std::uint16_t port) const;
 
-  std::map<std::pair<std::uint8_t, std::uint16_t>, AppProtocol> ports_;
   std::map<std::pair<std::uint32_t, std::uint16_t>, bool> dcerpc_endpoints_;
 };
 

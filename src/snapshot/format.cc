@@ -24,22 +24,46 @@ const char* to_string(SectionType type) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the bytewise table of the reflected
+// IEEE polynomial, and kCrcTables[k][b] is the CRC state after byte b
+// followed by k zero bytes, so eight table lookups advance the CRC by eight
+// bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

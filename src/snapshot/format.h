@@ -26,6 +26,7 @@
 // do not know (no silent forward parsing).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -73,7 +74,8 @@ enum class SectionType : std::uint32_t {
 // Stable name for error messages and tests.
 const char* to_string(SectionType type);
 
-// CRC-32 (IEEE 802.3 polynomial, reflected — the zlib crc32) over bytes.
+// CRC-32 (IEEE 802.3 polynomial, reflected — the zlib crc32) over bytes,
+// computed slicing-by-8 (eight bytes per step).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 // Decode failure; `offset` is the absolute file offset the failure was
@@ -105,12 +107,17 @@ class SnapshotError : public std::runtime_error {
 
 // ---- little-endian encode ---------------------------------------------------
 
+// Store the low `n` bytes of v at out, least significant byte first.
+inline void store_le(std::uint8_t* out, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) { append(v, 2); }
-  void u32(std::uint32_t v) { append(v, 4); }
-  void u64(std::uint64_t v) { append(v, 8); }
+  void u8(std::uint8_t v) { *grow(1) = v; }
+  void u16(std::uint16_t v) { append<2>(v); }
+  void u32(std::uint32_t v) { append<4>(v); }
+  void u64(std::uint64_t v) { append<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
@@ -120,17 +127,35 @@ class ByteWriter {
   }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+  // Bytes copied as they are, with no length prefix.
+  void raw(std::span<const std::uint8_t> b) {
+    if (!b.empty()) std::memcpy(grow(b.size()), b.data(), b.size());
   }
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  // The bytes written so far; invalidated by the next write.
+  std::span<const std::uint8_t> bytes() const { return {buf_.data(), size_}; }
 
  private:
-  void append(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  template <std::size_t N>
+  void append(std::uint64_t v) {
+    store_le(grow(N), v, N);
   }
 
-  std::vector<std::uint8_t> bytes_;
+  // Reserve the next n bytes and return where they start.  buf_ is kept
+  // as long as its capacity and size_ counts the bytes in use, so a field
+  // costs one compare and an add: no per-byte push_back, no resize call.
+  std::uint8_t* grow(std::size_t n) {
+    if (buf_.size() - size_ < n) buf_.resize(std::max({buf_.size() * 2, size_ + n, kMinBuffer}));
+    std::uint8_t* out = buf_.data() + size_;
+    size_ += n;
+    return out;
+  }
+
+  static constexpr std::size_t kMinBuffer = 256;
+  std::vector<std::uint8_t> buf_;
+  std::size_t size_ = 0;
 };
 
 // ---- little-endian decode ---------------------------------------------------

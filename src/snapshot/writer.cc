@@ -1,6 +1,7 @@
 #include "snapshot/writer.h"
 
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -202,12 +203,15 @@ SnapshotWriter::~SnapshotWriter() {
   }
 }
 
+void SnapshotWriter::write_raw(const std::uint8_t* bytes, std::size_t n) {
+  sink_->write(reinterpret_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+}
+
 void SnapshotWriter::write_header(const SnapshotMeta& meta) {
-  sink_->write(kMagic, kMagicSize);
-  ByteWriter version;
-  version.u32(kFormatVersion);
-  sink_->write(reinterpret_cast<const char*>(version.bytes().data()),
-               static_cast<std::streamsize>(version.bytes().size()));
+  std::uint8_t header[kHeaderSize];
+  std::memcpy(header, kMagic, kMagicSize);
+  store_le(header + kMagicSize, kFormatVersion, 4);
+  write_raw(header, kHeaderSize);
   offset_ = kHeaderSize;
 
   ByteWriter w;
@@ -218,18 +222,15 @@ void SnapshotWriter::write_header(const SnapshotMeta& meta) {
 }
 
 void SnapshotWriter::write_section(SectionType type, const ByteWriter& payload) {
-  const std::vector<std::uint8_t>& bytes = payload.bytes();
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(type));
-  frame.u64(bytes.size());
-  sink_->write(reinterpret_cast<const char*>(frame.bytes().data()),
-               static_cast<std::streamsize>(frame.bytes().size()));
-  sink_->write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
-  ByteWriter trailer;
-  trailer.u32(crc32(bytes));
-  sink_->write(reinterpret_cast<const char*>(trailer.bytes().data()),
-               static_cast<std::streamsize>(trailer.bytes().size()));
+  const std::span<const std::uint8_t> bytes = payload.bytes();
+  std::uint8_t frame[kSectionHeaderSize];
+  store_le(frame, static_cast<std::uint32_t>(type), 4);
+  store_le(frame + 4, bytes.size(), 8);
+  std::uint8_t trailer[kSectionTrailerSize];
+  store_le(trailer, crc32(bytes), 4);
+  write_raw(frame, kSectionHeaderSize);
+  write_raw(bytes.data(), bytes.size());
+  write_raw(trailer, kSectionTrailerSize);
   if (!*sink_) throw std::runtime_error("snapshot writer: write failed on " + path_);
   offset_ += kSectionHeaderSize + bytes.size() + kSectionTrailerSize;
 }

@@ -60,6 +60,7 @@ class SnapshotWriter {
   std::uint64_t bytes_written() const { return offset_; }
 
  private:
+  void write_raw(const std::uint8_t* bytes, std::size_t n);
   void write_header(const SnapshotMeta& meta);
   void write_section(SectionType type, const ByteWriter& payload);
 

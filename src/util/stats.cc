@@ -214,11 +214,10 @@ void IntervalSeries::merge(const IntervalSeries& other) {
 std::vector<double> IntervalSeries::values() const {
   std::vector<double> out;
   if (bins_.empty()) return out;
-  out.reserve(static_cast<std::size_t>(last_bin_ - first_bin_ + 1));
-  for (std::int64_t b = first_bin_; b <= last_bin_; ++b) {
-    auto it = bins_.find(b);
-    out.push_back(it == bins_.end() ? 0.0 : it->second);
-  }
+  // Every populated bin lies in [first_bin_, last_bin_]: one ordered walk
+  // of the sparse map fills the dense vector, with no lookup per bin.
+  out.assign(static_cast<std::size_t>(last_bin_ - first_bin_ + 1), 0.0);
+  for (const auto& [bin, value] : bins_) out[static_cast<std::size_t>(bin - first_bin_)] = value;
   return out;
 }
 

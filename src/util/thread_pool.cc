@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <cstdlib>
+#include <exception>
 
 namespace entrace {
 
@@ -48,6 +49,21 @@ ThreadPool::Stats ThreadPool::stats() const {
 }
 
 void ThreadPool::for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (workers_.empty()) {
+    // Inline mode: call fn directly, without a packaged_task and a future
+    // per index, under the same contract as the queued path.
+    std::exception_ptr first;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        const TaskTimer timer(*this);
+        fn(i);
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    if (first) std::rethrow_exception(first);
+    return;
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

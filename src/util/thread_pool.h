@@ -76,7 +76,8 @@ class ThreadPool {
     return future;
   }
 
-  // Run fn(0) .. fn(n-1) across the pool and wait for all of them.  If any
+  // Run fn(0) .. fn(n-1) across the pool and wait for all of them (in inline
+  // mode: in index order on the calling thread, with no future).  If any
   // invocation throws, every task still runs to completion and then the
   // exception from the lowest index is rethrown (deterministic regardless
   // of scheduling).

@@ -312,5 +312,28 @@ TEST(FlowTable, MulticastFlagSet) {
   EXPECT_TRUE(d.table.connections().front().successful());
 }
 
+// A default-constructed map holds no slots until its first insert; lookups,
+// clear() and growth past the initial capacity must all behave as if it
+// had been allocated up front.
+TEST(FlowMap, EmptyMapAllocatesOnFirstInsert) {
+  FlowMap map;
+  EXPECT_EQ(map.find_slot(1, 2), FlowMap::kNoSlot);
+  map.clear();
+  EXPECT_EQ(map.size(), 0u);
+  constexpr std::uint32_t kKeys = 3000;  // several doublings past the first allocation
+  for (std::uint32_t i = 0; i < kKeys; ++i) map.insert(i, ~std::uint64_t{i}, i);
+  ASSERT_EQ(map.size(), kKeys);
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    const std::size_t slot = map.find_slot(i, ~std::uint64_t{i});
+    ASSERT_NE(slot, FlowMap::kNoSlot) << i;
+    EXPECT_EQ(map.value_at(slot), i);
+  }
+  for (std::uint32_t i = 0; i < kKeys; i += 2) map.erase_slot(map.find_slot(i, ~std::uint64_t{i}));
+  EXPECT_EQ(map.size(), kKeys / 2);
+  for (std::uint32_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(map.find_slot(i, ~std::uint64_t{i}) != FlowMap::kNoSlot, i % 2 == 1) << i;
+  }
+}
+
 }  // namespace
 }  // namespace entrace

@@ -95,6 +95,25 @@ TEST(ThreadPool, StatsCountEveryTaskBeforeForEachIndexReturns) {
   EXPECT_EQ(pool.stats().tasks, 18u * 200 + 1);
 }
 
+// Inline mode calls fn directly, yet keeps the queued path's contract:
+// every index runs in order, each is counted, and the lowest failing
+// index's exception is the one rethrown.
+TEST(ThreadPool, InlineForEachIndexRunsAllAndRethrowsLowestIndex) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> ran;
+  try {
+    pool.for_each_index(8, [&ran](std::size_t i) {
+      ran.push_back(i);
+      if (i == 2 || i == 5) throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 2");
+  }
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(pool.stats().tasks, 8u);
+}
+
 TEST(ThreadPool, ForEachIndexZeroIsNoop) {
   ThreadPool pool(2);
   pool.for_each_index(0, [](std::size_t) { FAIL() << "must not run"; });
