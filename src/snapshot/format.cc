@@ -1,5 +1,6 @@
 #include "snapshot/format.h"
 
+#include <algorithm>
 #include <array>
 
 namespace entrace::snapshot {
@@ -20,6 +21,16 @@ const char* to_string(SectionType type) {
     case SectionType::kEnd: return "end";
   }
   return "unknown";
+}
+
+void ByteWriter::expand(std::size_t n) {
+  buf_.resize(std::max({buf_.size() * 2, size_ + n, kMinBuffer}));
+}
+
+void ByteReader::throw_truncated(std::size_t n, const char* what) const {
+  throw SnapshotError(offset(), std::string("section payload truncated: need ") +
+                                    std::to_string(n) + " more bytes for " + what +
+                                    ", payload has " + std::to_string(remaining()));
 }
 
 namespace {

@@ -26,7 +26,6 @@
 // do not know (no silent forward parsing).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -147,11 +146,12 @@ class ByteWriter {
   // as long as its capacity and size_ counts the bytes in use, so a field
   // costs one compare and an add: no per-byte push_back, no resize call.
   std::uint8_t* grow(std::size_t n) {
-    if (buf_.size() - size_ < n) buf_.resize(std::max({buf_.size() * 2, size_ + n, kMinBuffer}));
+    if (buf_.size() - size_ < n) [[unlikely]] expand(n);
     std::uint8_t* out = buf_.data() + size_;
     size_ += n;
     return out;
   }
+  void expand(std::size_t n);  // out of line: keeps grow() small enough to inline
 
   static constexpr std::size_t kMinBuffer = 256;
   std::vector<std::uint8_t> buf_;
@@ -167,10 +167,10 @@ class ByteReader {
   ByteReader(std::span<const std::uint8_t> bytes, std::size_t base_offset)
       : bytes_(bytes), base_(base_offset) {}
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(take(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(take(4)); }
-  std::uint64_t u64() { return take(8); }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(take<1>()); }
+  std::uint16_t u16() { return static_cast<std::uint16_t>(take<2>()); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(take<4>()); }
+  std::uint64_t u64() { return take<8>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() {
@@ -201,22 +201,21 @@ class ByteReader {
   }
 
  private:
-  std::uint64_t take(int n) {
-    need(static_cast<std::size_t>(n), "field");
+  template <std::size_t N>
+  std::uint64_t take() {
+    need(N, "field");
+    const std::uint8_t* p = bytes_.data() + pos_;
     std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    pos_ += static_cast<std::size_t>(n);
+    for (std::size_t i = 0; i < N; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    pos_ += N;
     return v;
   }
-  void need(std::size_t n, const char* what) {
-    if (bytes_.size() - pos_ < n) {
-      throw SnapshotError(offset(), std::string("section payload truncated: need ") +
-                                        std::to_string(n) + " more bytes for " + what +
-                                        ", payload has " + std::to_string(remaining()));
-    }
+  // The bounds check stays inline on every field read; building the error
+  // is kept out of line so it does not stop the check from inlining.
+  void need(std::size_t n, const char* what) const {
+    if (bytes_.size() - pos_ < n) [[unlikely]] throw_truncated(n, what);
   }
+  [[noreturn]] void throw_truncated(std::size_t n, const char* what) const;
 
   std::span<const std::uint8_t> bytes_;
   std::size_t base_;
