@@ -11,12 +11,10 @@ namespace {
 using snapshot::ByteReader;
 using snapshot::ByteWriter;
 using snapshot::crc32;
+using snapshot::load_le;
 using snapshot::store_le;
 
-std::uint32_t read_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
+std::uint32_t read_le32(const std::uint8_t* p) { return static_cast<std::uint32_t>(load_le(p, 4)); }
 
 bool known_type(std::uint32_t raw) {
   return raw >= static_cast<std::uint32_t>(MsgType::kHello) &&

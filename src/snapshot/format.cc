@@ -56,11 +56,6 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
@@ -69,8 +64,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   std::size_t n = bytes.size();
   std::uint32_t c = 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = load_le32(p) ^ c;
-    const std::uint32_t hi = load_le32(p + 4);
+    const auto lo = static_cast<std::uint32_t>(load_le(p, 4)) ^ c;
+    const auto hi = static_cast<std::uint32_t>(load_le(p + 4, 4));
     c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
         t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }

@@ -111,6 +111,13 @@ inline void store_le(std::uint8_t* out, std::uint64_t v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+// Load `n` <= 8 bytes at p as a little-endian integer.
+inline std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { *grow(1) = v; }
@@ -204,9 +211,7 @@ class ByteReader {
   template <std::size_t N>
   std::uint64_t take() {
     need(N, "field");
-    const std::uint8_t* p = bytes_.data() + pos_;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < N; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    const std::uint64_t v = load_le(bytes_.data() + pos_, N);
     pos_ += N;
     return v;
   }
