@@ -111,13 +111,6 @@ inline void store_le(std::uint8_t* out, std::uint64_t v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-// Load `n` <= 8 bytes at p as a little-endian integer.
-inline std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { *grow(1) = v; }
@@ -166,6 +159,13 @@ class ByteWriter {
 };
 
 // ---- little-endian decode ---------------------------------------------------
+
+// Load `n` <= 8 bytes at p as a little-endian integer.
+inline std::uint64_t load_le(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
 
 // Reads a section payload; `base_offset` is the payload's absolute file
 // offset so every underflow error names the exact byte it happened at.
