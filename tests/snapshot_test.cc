@@ -72,24 +72,19 @@ class SnapshotTest : public ::testing::Test {
     return path;
   }
 
-  // Analyze traces [lo, hi) and encode them through the stream-sink
-  // writer: the snapshot image without a filesystem round trip.
-  static std::vector<std::uint8_t> encode_range(std::size_t lo, std::size_t hi) {
-    std::vector<TraceShard> shards = analyze_trace_shards(sources(), config(), lo, hi);
-    std::ostringstream sink(std::ios::binary);
-    snap::SnapshotWriter writer(sink, meta());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      writer.add_shard(static_cast<std::uint32_t>(lo + i), shards[i]);
-    }
-    writer.close();
-    const std::string image = sink.str();
-    return {image.begin(), image.end()};
-  }
-
   // A valid single-trace snapshot image (trace 0) for the byte-identity
-  // and fault-injection tests.
+  // and fault-injection tests, encoded through the stream-sink writer
+  // without a filesystem round trip.
   static const std::vector<std::uint8_t>& valid_image() {
-    static const std::vector<std::uint8_t> bytes = encode_range(0, 1);
+    static const std::vector<std::uint8_t> bytes = [] {
+      const std::vector<TraceShard> shards = analyze_trace_shards(sources(), config(), 0, 1);
+      std::ostringstream sink(std::ios::binary);
+      snap::SnapshotWriter writer(sink, meta());
+      writer.add_shard(0, shards.at(0));
+      writer.close();
+      const std::string image = sink.str();
+      return std::vector<std::uint8_t>(image.begin(), image.end());
+    }();
     return bytes;
   }
 
